@@ -28,15 +28,11 @@ at the repository root:
   workload under the paper's ``Q1.7``/stochastic low-precision config and
   times the float-simulated quantized fused path against the
   integer-native ``"qfused"`` tier (conductances held as uint8/uint16
-  Q-format codes, eq.-8 rounding fused into the STDP scatter) and the
-  event-driven ``"qevent"`` tier (the same codes driven through sparse
-  gathers and closed-form jumps) — qfused must be spike-equivalent and
-  conductance-exact against its float shadow twin at matched rounding
-  draws, bit-identical to fused under nearest rounding, and its code
-  array at most 16 bits wide; qevent must reproduce qfused's codes **bit
-  for bit** (and its own float twin at ``conductance_atol=0.0``), with
-  the nearest-rounding pair bit-identical too; all are blocking under
-  ``--check``;
+  Q-format codes, eq.-8 rounding fused into the STDP scatter) — qfused
+  must be spike-equivalent and conductance-exact against its float shadow
+  twin at matched rounding draws, bit-identical to fused under nearest
+  rounding, and its code array at most 16 bits wide; all are blocking
+  under ``--check``;
 
 - **evaluation** — the plasticity-frozen label/infer loop on the trained
   network, once per sequential engine.  The fused and event engines must
@@ -114,7 +110,6 @@ BACKEND_CHECK_ENGINES = (
     ("fused", False),
     ("event", False),
     ("qfused", True),
-    ("qevent", True),
 )
 
 #: Images per guard-backend row — discipline/bit-identity checks, not
@@ -225,19 +220,9 @@ def bench_qfused(args, images) -> dict:
       paths compute the very same arithmetic;
     - the live code matrix must be at most 16 bits wide.
 
-    The event-driven ``qevent`` rows extend the ladder: qevent's codes
-    must be **bit-identical** to the dense qfused kernel's (code updates
-    are pure integer functions of the spike trajectory, which the
-    conservative crossing predictor preserves; thetas carry the float
-    event tier's jump-rearrangement tolerance), its own float shadow twin
-    must match at ``conductance_atol=0.0``, and the nearest-rounding
-    qevent/qfused pair must produce identical codes too.
-
     All violations are blocking under ``--check``; the
-    ``qfused_over_fused`` and ``qevent_over_qfused`` speedups feed the
-    usual warning-tier floors.
+    ``qfused_over_fused`` speedup feeds the usual warning-tier floors.
     """
-    from repro.engine.qevent import QEventPresentation
     from repro.engine.qfused import QFusedPresentation
     from repro.engine.registry import check_equivalence, get_engine_spec
     from repro.pipeline.trainer import UnsupervisedTrainer
@@ -245,7 +230,7 @@ def bench_qfused(args, images) -> dict:
     results: dict = {}
     state: dict = {}
 
-    def _row(key, rounding, engine_factory, event_stats=False):
+    def _row(key, rounding, engine_factory):
         net = _build_quantized(args.neurons, images[0].size, args.seed, rounding)
         t0 = time.perf_counter()
         log = UnsupervisedTrainer(net).train(images, engine=engine_factory(net))
@@ -255,10 +240,6 @@ def bench_qfused(args, images) -> dict:
             "images": log.images_seen,
             "total_spikes": int(sum(log.spikes_per_image)),
         }
-        if event_stats:
-            results[key]["steps_skipped"] = log.steps_skipped
-            results[key]["skipped_fraction"] = log.skipped_fraction
-            results[key]["raster_cell_occupancy"] = log.raster_occupancy
         state[key] = {
             "conductances": net.conductances.copy(),
             "thetas": net.neurons.theta.copy(),
@@ -271,10 +252,6 @@ def bench_qfused(args, images) -> dict:
          lambda net: QFusedPresentation(net, storage="float"))
     _row("fused_nearest", "nearest", lambda net: "fused")
     _row("qfused_nearest", "nearest", lambda net: "qfused")
-    _row("qevent", QFUSED_ROUNDING, lambda net: "qevent", event_stats=True)
-    _row("qevent_twin", QFUSED_ROUNDING,
-         lambda net: QEventPresentation(net, storage="float"))
-    _row("qevent_nearest", "nearest", lambda net: "qevent")
 
     # The declared contract at its tightest: spike-equivalent with zero
     # conductance tolerance against the float twin (same draws from the
@@ -299,40 +276,6 @@ def bench_qfused(args, images) -> dict:
             "bit-identical to the fused path"
         )
 
-    # The event-driven tier against the dense kernel: codes bit-identical
-    # (zero tolerance on conductances), thetas within the float event
-    # tier's jump-rearrangement tolerance (the default CONDUCTANCE_ATOL).
-    def _sans_thetas(row):
-        return {k: v for k, v in row.items() if k != "thetas"}
-
-    qevent_violations = check_equivalence(
-        get_engine_spec("qevent"), _sans_thetas(state["qfused"]),
-        _sans_thetas(state["qevent"]), conductance_atol=0.0,
-    )
-    qevent_violations += check_equivalence(
-        get_engine_spec("qevent"),
-        {"thetas": state["qfused"]["thetas"]},
-        {"thetas": state["qevent"]["thetas"]},
-    )
-    # The sparse kernel's own float shadow twin runs the identical jump
-    # math on the identical draws: everything matches bit for bit.
-    qevent_twin_violations = check_equivalence(
-        get_engine_spec("qevent"), state["qevent_twin"], state["qevent"],
-        conductance_atol=0.0,
-    )
-    violations += qevent_violations + qevent_twin_violations
-    qevent_nearest_exact = bool(
-        np.array_equal(state["qfused_nearest"]["conductances"],
-                       state["qevent_nearest"]["conductances"])
-        and state["qfused_nearest"]["spikes_per_image"]
-        == state["qevent_nearest"]["spikes_per_image"]
-    )
-    if not qevent_nearest_exact:
-        violations.append(
-            "engine 'qevent': nearest-rounding training no longer produces "
-            "bit-identical codes to the dense qfused kernel"
-        )
-
     # End-to-end width probe: the live code matrix of a freshly built
     # kernel at this workload's scale and format.
     probe = QFusedPresentation(
@@ -353,16 +296,8 @@ def bench_qfused(args, images) -> dict:
     results["qfused_over_fused"] = (
         results["fused"]["seconds"] / results["qfused"]["seconds"]
     )
-    results["qevent_over_qfused"] = (
-        results["qfused"]["seconds"] / results["qevent"]["seconds"]
-    )
-    results["qevent_over_fused"] = (
-        results["fused"]["seconds"] / results["qevent"]["seconds"]
-    )
     results["spike_equivalent"] = not twin_violations
     results["nearest_bit_exact"] = nearest_exact
-    results["qevent_code_exact"] = not (qevent_violations or qevent_twin_violations)
-    results["qevent_nearest_bit_exact"] = qevent_nearest_exact
     results["contract_violations"] = violations
     return results
 
@@ -614,9 +549,8 @@ def check_against_baseline(payload: dict, baseline_path: Path, strict_speed: boo
     qfused = training.get("qfused")
     if qfused is not None:
         # The integer tier's contracts (float-twin equivalence, nearest
-        # bit-identity, <= 16-bit codes, qevent/qfused code bit-identity)
-        # are correctness statements, so their violations block like the
-        # float-tier contracts above.
+        # bit-identity, <= 16-bit codes) are correctness statements, so
+        # their violations block like the float-tier contracts above.
         failures.extend(qfused.get("contract_violations", []))
     qbatched = payload.get("inference", {}).get("qbatched")
     if qbatched is not None:
@@ -674,18 +608,13 @@ def check_against_baseline(payload: dict, baseline_path: Path, strict_speed: boo
                         f"{label} speedup {measured:.2f}x fell below the floor "
                         f"{floor:.2f}x ({CHECK_FLOOR_FRACTION:.0%} of committed {committed:.2f}x)"
                     )
-            for key, label in (
-                ("qfused_over_fused", "qfused-over-fused"),
-                ("qevent_over_qfused", "qevent-over-qfused"),
-            ):
-                committed_q = baseline.get("qfused", {}).get(key)
-                if committed_q is None or qfused is None:
-                    continue
+            committed_q = baseline.get("qfused", {}).get("qfused_over_fused")
+            if committed_q is not None and qfused is not None:
                 floor = committed_q * CHECK_FLOOR_FRACTION
-                measured = qfused[key]
+                measured = qfused["qfused_over_fused"]
                 if measured < floor:
                     warnings.append(
-                        f"{label} speedup {measured:.2f}x fell below "
+                        f"qfused-over-fused speedup {measured:.2f}x fell below "
                         f"the floor {floor:.2f}x ({CHECK_FLOOR_FRACTION:.0%} of "
                         f"committed {committed_q:.2f}x)"
                     )
@@ -755,7 +684,7 @@ def main() -> int:
     for engine in ("fused", "event"):
         warm = _build(args.neurons, data.train_images[0].size, args.seed)
         UnsupervisedTrainer(warm).train(data.train_images[:1], engine=engine)
-    for engine in ("fused", "qfused", "qevent"):
+    for engine in ("fused", "qfused"):
         warm = _build_quantized(args.neurons, data.train_images[0].size,
                                 args.seed, QFUSED_ROUNDING)
         UnsupervisedTrainer(warm).train(data.train_images[:1], engine=engine)
@@ -781,8 +710,8 @@ def main() -> int:
             "qfused_fmt": QFUSED_FMT,
             "qfused_rounding": QFUSED_ROUNDING,
             "qfused_code_dtype": training["qfused"]["code_dtype"],
-            # Self-describing precision/sparsity metadata: enough to
-            # reproduce the quantized rows without reading the source.
+            # Self-describing precision metadata: enough to reproduce the
+            # quantized rows without reading the source.
             "quantized": {
                 "fmt": QFUSED_FMT,
                 "code_bits": training["qfused"]["code_bits"],
@@ -790,12 +719,6 @@ def main() -> int:
                 "frac_bits": parse_qformat(QFUSED_FMT).frac_bits,
                 "rounding": QFUSED_ROUNDING,
                 "code_dtype": training["qfused"]["code_dtype"],
-                # Measured on this workload's rasters by the qevent row —
-                # the occupancy regime the sparse integer path won at.
-                "raster_cell_occupancy":
-                    training["qfused"]["qevent"]["raster_cell_occupancy"],
-                "steps_skipped_fraction":
-                    training["qfused"]["qevent"]["skipped_fraction"],
             },
             # Array backend the timed rows ran on, plus each engine's
             # host↔device boundary traffic measured by the guard rows —
@@ -842,15 +765,6 @@ def main() -> int:
     print(f"           qfused/fused {qf['qfused_over_fused']:.2f}x  "
           f"spike_equivalent={qf['spike_equivalent']}  "
           f"nearest_bit_exact={qf['nearest_bit_exact']}")
-    print(f"qevent   : qevent {qf['qevent']['seconds']:.3f}s  "
-          f"qevent/qfused {qf['qevent_over_qfused']:.2f}x  "
-          f"qevent/fused {qf['qevent_over_fused']:.2f}x  "
-          f"code_exact={qf['qevent_code_exact']}  "
-          f"nearest_bit_exact={qf['qevent_nearest_bit_exact']}")
-    print(f"           raster occupancy "
-          f"{qf['qevent']['raster_cell_occupancy']:.4f}  "
-          f"steps skipped {qf['qevent']['steps_skipped']} "
-          f"({qf['qevent']['skipped_fraction']:.1%})")
     print(f"evaluation: reference {evaluation['reference_seconds']:.3f}s  "
           f"fused {evaluation['fused_seconds']:.3f}s  "
           f"event {evaluation['event_seconds']:.3f}s")

@@ -127,9 +127,9 @@ def deterministic_rule_columns(
 def resolve_quantized_rule(network: WTANetwork) -> str:
     """Which code-domain column path serves *network*'s rule, or raise.
 
-    The integer-native training kernels (``qfused``, ``qevent``) serve
-    exactly the column-restricted rules: plain deterministic STDP, or
-    stochastic STDP with post-event LTD.  The pair-LTD modes touch the
+    The integer-native training kernel (``qfused``) serves exactly the
+    column-restricted rules: plain deterministic STDP, or stochastic STDP
+    with post-event LTD.  The pair-LTD modes touch the
     learning stream at pre-spike steps through the full-matrix reference
     path and have no code-domain equivalent, so — unlike
     :func:`resolve_fast_rule`'s ``None``-means-fallback contract — an
@@ -149,7 +149,7 @@ def resolve_quantized_rule(network: WTANetwork) -> str:
 
 
 # ----------------------------------------------------------------------
-# code-domain variants (the integer ``qfused``/``qevent`` tier)
+# code-domain variants (the integer ``qfused`` tier)
 # ----------------------------------------------------------------------
 #
 # Same column restriction, generalised over the storage dtype: conductances

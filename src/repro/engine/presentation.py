@@ -275,49 +275,6 @@ class QFusedEngine(PresentationEngine):
         )
 
 
-class QEventEngine(PresentationEngine):
-    """The event-driven integer kernel (:class:`~repro.engine.qevent.QEventPresentation`).
-
-    Composes the event tier's sparse-event/closed-form-jump loop with the
-    qfused tier's uint8/uint16 code storage (requires a fixed-point
-    quantization config of at most 16 total bits).  Spike-trajectory
-    equivalent to — and in practice code-bit-identical with — the dense
-    ``qfused`` kernel; the float shadow twin (``storage="float"``) remains
-    the stochastic-rounding oracle.  Exposes the kernel's
-    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`stats`.
-    """
-
-    name = "qevent"
-
-    def __init__(self, network: WTANetwork) -> None:
-        super().__init__(network)
-        from repro.engine.qevent import QEventPresentation
-
-        self._kernel = QEventPresentation(network)
-
-    @property
-    def stats(self) -> EventTrainStats:
-        return self._kernel.stats
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The live Q-format code matrix of the underlying kernel."""
-        return self._kernel.codes
-
-    def run(
-        self,
-        image: np.ndarray,
-        t_ms: float,
-        n_steps: int,
-        dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
-        out_counts: Optional[np.ndarray] = None,
-    ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
-
-
 class BatchedEngine(PresentationEngine):
     """Image-parallel frozen inference (:class:`~repro.engine.batched.BatchedInference`).
 

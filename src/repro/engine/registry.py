@@ -323,16 +323,6 @@ register_engine(EngineSpec(
     precisions=("uint8", "uint16"),
 ))
 register_engine(EngineSpec(
-    name="qevent",
-    factory="repro.engine.presentation:QEventEngine",
-    supports_learning=True,
-    supports_batch=False,
-    equivalence=Equivalence.SPIKE_EQUIVALENT,
-    backends=("numpy", "guard"),
-    summary="event-driven integer kernel: sparse gathers + closed-form jumps on Q-format codes",
-    precisions=("uint8", "uint16"),
-))
-register_engine(EngineSpec(
     name="qbatched",
     factory="repro.engine.presentation:QBatchedEngine",
     supports_learning=False,

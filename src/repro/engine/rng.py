@@ -52,7 +52,6 @@ STREAM_CONSUMERS = {
         "engine/event_train.py",
         "engine/fused.py",
         "engine/profiler.py",
-        "engine/qevent.py",
         "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
@@ -61,14 +60,13 @@ STREAM_CONSUMERS = {
         "engine/event_train.py",
         "engine/fused.py",
         "engine/profiler.py",
-        "engine/qevent.py",
         "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
     ),
     "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),
     "misc": ("cli.py", "pipeline/evaluator.py", "pipeline/experiment.py"),
-    "qrounding": ("engine/qevent.py", "engine/qfused.py"),
+    "qrounding": ("engine/qfused.py",),
     "batched_eval": ("engine/batched.py", "engine/presentation.py"),
 }
 
@@ -77,7 +75,6 @@ STREAM_CONSUMERS = {
 #: parity — and with it bit-identity — dies.  R9 enforces each group.
 PARITY_GROUPS = (
     ("engine/fused.py", "engine/event_train.py"),
-    ("engine/qfused.py", "engine/qevent.py"),
 )
 
 #: Streams intentionally without consumers, with the reason.  Removing a

@@ -34,15 +34,13 @@ R1_EXEMPT_SUFFIXES: Tuple[str, ...] = ("engine/rng.py",)
 R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 
 #: Paths where R2 additionally polices silent float64 *upcasts*: the
-#: integer-native kernels (the dense and event-driven code-storage
-#: engines, and the batched engine whose qbatched path carries frozen
-#: codes) plus the whole quantization layer, where a dtype-less
+#: integer-native kernels (the code-storage training engine, and the
+#: batched engine whose qbatched path carries frozen codes) plus the whole quantization layer, where a dtype-less
 #: ``np.asarray``/``np.array`` or an ``astype(float)`` quietly promotes
 #: uint8/uint16 code arrays back to full-precision floats — the exact
 #: round trip the integer tier exists to eliminate.
 R2_INT_NATIVE_SUFFIXES: Tuple[str, ...] = (
     "engine/qfused.py",
-    "engine/qevent.py",
     "engine/batched.py",
 )
 R2_INT_NATIVE_DIRS: FrozenSet[str] = frozenset({"quantization"})
@@ -573,7 +571,6 @@ R6_BACKEND_GENERIC_SUFFIXES: Tuple[str, ...] = (
     "engine/fused.py",
     "engine/event_train.py",
     "engine/qfused.py",
-    "engine/qevent.py",
     "engine/batched.py",
     "engine/plasticity.py",
     "quantization/codec.py",

@@ -11,9 +11,7 @@ and 8b.
 The presentation itself is delegated to an engine resolved by name through
 :mod:`repro.engine.registry` (``"reference"``, ``"fused"``, ``"event"``, or
 anything registered later); the config's
-:class:`~repro.config.parameters.EngineConfig` supplies the default.  The
-legacy ``fast=`` boolean flag is a deprecated alias onto the same registry
-names.
+:class:`~repro.config.parameters.EngineConfig` supplies the default.
 
 Resilience hooks (all opt-in, zero cost when unused; see
 :mod:`repro.resilience`):
@@ -50,24 +48,6 @@ if TYPE_CHECKING:
     from repro.resilience.autosave import AutosavePolicy
     from repro.resilience.run_state import TrainingRunState
     from repro.resilience.sentinel import NumericHealthSentinel
-
-#: Sentinel distinguishing "``fast`` not passed" from every legal value.
-_FAST_UNSET = object()
-
-
-def _engine_name_from_fast(fast: Union[bool, str]) -> str:
-    """Map the deprecated ``fast=`` flag onto a registry engine name."""
-    if fast is False:
-        return "reference"
-    if fast is True or fast == "fused":
-        return "fused"
-    if fast == "event":
-        return "event"
-    raise SimulationError(
-        f"unknown fast engine {fast!r}: use False (reference), "
-        f"True/'fused' (bit-identical kernel) or 'event' "
-        f"(spike-trajectory-equivalent kernel)"
-    )
 
 
 @dataclass
@@ -134,7 +114,6 @@ class UnsupervisedTrainer:
         images: np.ndarray,
         epochs: int = 1,
         on_image_end: Optional[Callable[[int, TrainingLog], None]] = None,
-        fast: Union[bool, str, object] = _FAST_UNSET,
         engine: Optional[Union[str, Any]] = None,
         resume_from: Optional[Union[str, "TrainingRunState"]] = None,
         autosave: Optional["AutosavePolicy"] = None,
@@ -157,12 +136,8 @@ class UnsupervisedTrainer:
         A pre-built engine *instance* (anything with the
         ``run(image, t_ms, n_steps, dt_ms)`` presentation protocol) is also
         accepted and used as-is, bypassing registry resolution.
-
-        ``fast`` is the deprecated boolean/str alias for the same choice
-        (``False`` → ``"reference"``, ``True`` → ``"fused"``, ``"event"`` →
-        ``"event"``); it emits a :class:`DeprecationWarning` and delegates
-        to the registry.  ``scripts/bench_training.py`` records the
-        measured engine trajectory.
+        ``scripts/bench_training.py`` records the measured engine
+        trajectory.
 
         ``resume_from`` is a v2 checkpoint path (or an in-memory
         :class:`~repro.resilience.run_state.TrainingRunState`): the
@@ -180,18 +155,6 @@ class UnsupervisedTrainer:
         :class:`~repro.errors.NumericHealthError` is never degraded away —
         a failed invariant means the state itself is suspect.
         """
-        if fast is not _FAST_UNSET:
-            warnings.warn(
-                "UnsupervisedTrainer.train(fast=...) is deprecated; pass "
-                "engine='reference'/'fused'/'event' (registry names) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine is not None:
-                raise SimulationError(
-                    "pass either engine= or the deprecated fast=, not both"
-                )
-            engine = _engine_name_from_fast(fast)
         if on_engine_fault not in ("raise", "degrade"):
             raise SimulationError(
                 f"on_engine_fault must be 'raise' or 'degrade', "

@@ -23,12 +23,10 @@ from typing import List, Optional
 
 #: Fallback order of the sequential training engines (most to least
 #: optimised).  ``reference`` has no fallback: a fault there is a real
-#: error and propagates.  The integer tiers degrade within their own
-#: ladder first — ``qevent`` (sparse + jumps on codes) falls back to the
-#: dense ``qfused`` kernel, which falls back to ``fused`` (the same
-#: Q-format *simulated* on float64, valid for any quantization config).
+#: error and propagates.  The integer ``qfused`` kernel falls back to
+#: ``fused`` (the same Q-format *simulated* on float64, valid for any
+#: quantization config).
 DEGRADATION_CHAIN = {
-    "qevent": "qfused",
     "qfused": "fused",
     "event": "fused",
     "fused": "reference",
@@ -56,9 +54,8 @@ def next_tier(engine_name: str, engine: Optional[object] = None) -> Optional[str
 def degradation_path(engine_name: str) -> List[str]:
     """The full fallback walk starting at *engine_name* (inclusive).
 
-    ``degradation_path("qevent") == ["qevent", "qfused", "fused",
-    "reference"]``; an engine outside the chain is its own single-element
-    path.  Used by the resilience-analysis harness to bound the number of
+    ``degradation_path("qfused") == ["qfused", "fused", "reference"]``;
+    an engine outside the chain is its own single-element path.  Used by the resilience-analysis harness to bound the number of
     degradation hops a scenario may legitimately take.
     """
     path = [engine_name]

@@ -109,16 +109,11 @@ OUTCOMES: Tuple[str, ...] = (
 DATASET_ENGINE = "dataset"
 
 #: Engines whose degraded run must reproduce the clean same-engine run's
-#: conductances bit for bit: ``fused`` falls to the bit-identical
+#: conductances and theta bit for bit: ``fused`` falls to the bit-identical
 #: ``reference``, ``qfused`` to ``fused`` (identical arithmetic under the
-#: workload's deterministic rounding), ``qevent`` to ``qfused`` (identical
-#: code streams).  ``event``'s fallback only matches to the closed-form
-#: jump tolerance.
-ENGINES_EXACT_CONDUCTANCES = frozenset({"fused", "qfused", "qevent"})
-#: Engines whose degraded run additionally reproduces theta bit for bit
-#: (``qevent``'s closed-form theta jumps reorder float products, so theta
-#: agrees only to ~1e-9 against its ``qfused`` fallback).
-ENGINES_EXACT_THETA = frozenset({"fused", "qfused"})
+#: workload's deterministic rounding).  ``event``'s fallback only matches
+#: to the closed-form jump tolerance.
+ENGINES_EXACT = frozenset({"fused", "qfused"})
 #: Tolerance for the non-exact comparisons (the event tier's published
 #: closed-form-jump equivalence bound).
 DEGRADE_ATOL = 1e-9
@@ -210,7 +205,7 @@ class FaultSpace:
     """
 
     kinds: Tuple[str, ...] = FAULT_KINDS
-    engines: Tuple[str, ...] = ("fused", "event", "qevent")
+    engines: Tuple[str, ...] = ("fused", "event", "qfused")
     at_presentations: Tuple[int, ...] = (3, 6)
     autosave_cadences: Tuple[int, ...] = (2, 4)
     damage_modes: Tuple[str, ...] = DAMAGE_MODES
@@ -336,7 +331,7 @@ class ScenarioWorkload:
     Mirrors the test suite's tiny fixtures: 8 WTA neurons over 8×8
     synthetic digits, 50 ms presentations.  Quantized engines get a
     Q-format config with **deterministic** rounding, because the
-    cross-tier degradation contract (qevent → qfused → fused) is
+    cross-tier degradation contract (qfused → fused → reference) is
     bit-identical only when rounding consumes no RNG.
     """
 
@@ -700,15 +695,14 @@ class ScenarioRunner:
             1 for w in caught if issubclass(w.category, EngineDegradedWarning)
         )
 
-        g_exact = sc.engine in ENGINES_EXACT_CONDUCTANCES
-        theta_exact = sc.engine in ENGINES_EXACT_THETA
+        exact = sc.engine in ENGINES_EXACT
         spikes_ok = tuple(log.spikes_per_image) == base.spikes
         g_equal = np.array_equal(net.conductances, base.conductances)
         theta_equal = np.array_equal(net.neurons.theta, base.theta)
-        g_ok = g_equal if g_exact else bool(
+        g_ok = g_equal if exact else bool(
             np.allclose(net.conductances, base.conductances, atol=DEGRADE_ATOL)
         )
-        theta_ok = theta_equal if theta_exact else bool(
+        theta_ok = theta_equal if exact else bool(
             np.allclose(net.neurons.theta, base.theta, atol=DEGRADE_ATOL)
         )
         contract_holds = hops >= 1 and spikes_ok and g_ok and theta_ok
@@ -716,7 +710,7 @@ class ScenarioRunner:
             scenario=sc,
             outcome=OUTCOME_DEGRADED if contract_holds else OUTCOME_UNRECOVERED,
             bit_identical=spikes_ok and g_equal and theta_equal,
-            expected_exact=g_exact and theta_exact,
+            expected_exact=exact,
             hops=hops,
             degraded_to=chain[1] if hops >= 1 else None,
             detail=(

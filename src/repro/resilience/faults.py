@@ -507,10 +507,10 @@ def install_faulty_chain(
 ) -> List[str]:
     """Register one fault wrapper per tier so a run walks the whole chain.
 
-    ``install_faulty_chain(["qevent", "qfused", "fused"], fail_at=3)``
-    registers ``faulty-qevent`` → ``faulty-qfused`` → ``faulty-fused``,
-    where each wrapper degrades into the *next wrapper* and the last one
-    into the real tier below its engine (``reference`` here).  The entry
+    ``install_faulty_chain(["qfused", "fused"], fail_at=3)`` registers
+    ``faulty-qfused`` → ``faulty-fused``, where each wrapper degrades into
+    the *next wrapper* and the last one into the real tier below its
+    engine (``reference`` here).  The entry
     wrapper faults at presentation *fail_at*; every inner wrapper faults
     on its first ``run`` call — which is exactly the re-presentation of
     the same image after the boundary rollback — so one presentation

@@ -35,7 +35,6 @@ TRAIN_GRID = [
     ("fused", False),
     ("event", False),
     ("qfused", True),
-    ("qevent", True),
 ]
 
 

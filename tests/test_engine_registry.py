@@ -1,8 +1,12 @@
 """The presentation-engine registry: resolution, capabilities, contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.config.parameters import EngineConfig, QuantizationConfig
 from repro.engine.registry import (
     EngineSpec,
     Equivalence,
@@ -23,6 +27,7 @@ from repro.engine.presentation import (
 )
 from repro.errors import ConfigurationError
 from repro.network.wta import WTANetwork
+from repro.pipeline.trainer import UnsupervisedTrainer
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ def tiny_network(tiny_config):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         assert available_engines() == (
-            "batched", "event", "fused", "qbatched", "qevent", "qfused", "reference"
+            "batched", "event", "fused", "qbatched", "qfused", "reference"
         )
 
     def test_unknown_name_lists_registered_engines(self):
@@ -68,7 +73,7 @@ class TestRegistry:
 
     def test_training_engine_error_lists_learners(self, tiny_network):
         with pytest.raises(
-            ConfigurationError, match="event, fused, qevent, qfused, reference"
+            ConfigurationError, match="event, fused, qfused, reference"
         ):
             create_training_engine("batched", tiny_network)
 
@@ -89,12 +94,32 @@ class TestRegistry:
         assert spec.precisions == ("uint8", "uint16")
         assert "float64" not in spec.precisions
 
-    def test_qevent_spec_declares_integer_event_tier(self):
-        spec = get_engine_spec("qevent")
-        assert spec.supports_learning
-        assert not spec.supports_batch
-        assert spec.equivalence is Equivalence.SPIKE_EQUIVALENT
-        assert spec.precisions == ("uint8", "uint16")
+    def test_retired_qevent_name_fails_before_any_presentation(
+        self, tiny_config, small_images, capsys
+    ):
+        """The retired event-driven integer tier is not a registered name on
+        any selection path, even under a config it used to accept."""
+        config = replace(tiny_config, quantization=QuantizationConfig(fmt="Q1.7"))
+        net = WTANetwork(config, small_images[0].size)
+        before = net.conductances.copy()
+        presented = []
+        with pytest.raises(ConfigurationError, match="unknown engine 'qevent'"):
+            UnsupervisedTrainer(net).train(
+                small_images, engine="qevent",
+                on_image_end=lambda i, log: presented.append(i),
+            )
+        assert presented == []
+        assert np.array_equal(net.conductances, before)
+
+        with pytest.raises(ConfigurationError, match="unknown engine 'qevent'"):
+            EngineConfig(train="qevent")
+
+        # The CLI's --engine choices are the registry names, so argparse
+        # refuses the name before any config or network is built.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--preset", "8bit", "--engine", "qevent", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'qevent'" in capsys.readouterr().err
 
     def test_qbatched_spec_declares_integer_batch_tier(self):
         spec = get_engine_spec("qbatched")

@@ -194,11 +194,6 @@ class TestTrainingLogCounters:
         with pytest.raises(ConfigurationError):
             UnsupervisedTrainer(net).train(small_images, engine="warp")
 
-    def test_unknown_fast_value_keeps_simulation_error(self, tiny_config, small_images):
-        net = WTANetwork(tiny_config, n_pixels=small_images[0].size)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                UnsupervisedTrainer(net).train(small_images, fast="warp")
 
 
 class TestSparsify:

@@ -124,12 +124,12 @@ def test_r2_int_native_applies_to_the_qfused_kernel():
     assert [f for f in fused if f.rule == "R2"] == []
 
 
-def test_r2_int_native_applies_to_the_qevent_and_qbatched_kernels():
-    """The event-driven code engine and the batched engine (whose qbatched
-    path carries frozen codes) sit in the same int-native R2 scope as
-    qfused: the full bad-upcast fixture must fire at both paths."""
+def test_r2_int_native_applies_to_the_qfused_and_qbatched_kernels():
+    """The code-storage training engine and the batched engine (whose
+    qbatched path carries frozen codes) sit in the same int-native R2
+    scope: the full bad-upcast fixture must fire at both paths."""
     source = FIXTURES.joinpath("quantization/bad_upcast.py").read_text()
-    for path in ("src/repro/engine/qevent.py", "src/repro/engine/batched.py"):
+    for path in ("src/repro/engine/qfused.py", "src/repro/engine/batched.py"):
         findings = [f for f in lint_source(source, path) if f.rule == "R2"]
         assert {f.rule for f in findings} == {"R2"}, path
         assert len(findings) == 4, path
@@ -187,7 +187,7 @@ def test_r3_registered_engines_flow_into_the_report():
         unregister_engine(_BAD_SPEC.name)
     assert report.exit_code == 1
     assert all(f.rule == "R3" for f in report.findings)
-    assert report.contracts_checked == 8  # seven built-ins + the bad fixture
+    assert report.contracts_checked == 7  # six built-ins + the bad fixture
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ The tiers pinned here (mirrored by the ``bench_training --check`` gate):
   response matrices vs the fused engine;
 - **resumability** — kill-and-resume through v2 checkpoints (which store
   the uint8/uint16 codes directly) reproduces the uninterrupted run.
+
+The twin oracle runs over Q0.8/Q1.7 (uint8) and Q8.8 (uint16) under every
+rounding mode.
 """
 
 from dataclasses import replace
@@ -27,9 +30,10 @@ from repro.backend import asnumpy
 from repro.config.parameters import (
     QuantizationConfig,
     RoundingMode,
+    STDPKind,
 )
 from repro.engine.qfused import QFusedPresentation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
@@ -46,6 +50,21 @@ def _train(config, images, engine):
     net = WTANetwork(config, images[0].size)
     log = UnsupervisedTrainer(net).train(images, engine=engine)
     return net, log
+
+
+def _train_twin(config, images):
+    net = WTANetwork(config, images[0].size)
+    log = UnsupervisedTrainer(net).train(
+        images, engine=QFusedPresentation(net, storage="float")
+    )
+    return net, log
+
+
+def _stream_states(net):
+    return (
+        net.rngs.qrounding.bit_generator.state,
+        net.rngs.learning.bit_generator.state,
+    )
 
 
 class TestDeterministicRoundingBitExact:
@@ -69,6 +88,17 @@ class TestDeterministicRoundingBitExact:
         assert np.array_equal(q_net.conductances, fused_net.conductances)
         assert q_log.spikes_per_image == fused_log.spikes_per_image
 
+    def test_deterministic_stdp_rule_matches_fused(self, tiny_config, small_images):
+        config = _quantized(
+            replace(tiny_config, stdp_kind=STDPKind.DETERMINISTIC),
+            rounding=RoundingMode.NEAREST,
+        )
+        fused_net, fused_log = _train(config, small_images, "fused")
+        q_net, q_log = _train(config, small_images, "qfused")
+        assert sum(q_log.spikes_per_image) > 0
+        assert np.array_equal(q_net.conductances, fused_net.conductances)
+        assert q_log.spikes_per_image == fused_log.spikes_per_image
+
 
 class TestStochasticShadowTwin:
     @pytest.mark.parametrize("fmt", ["Q1.7", "Q1.15"])
@@ -77,16 +107,43 @@ class TestStochasticShadowTwin:
     ):
         config = _quantized(tiny_config, fmt=fmt)
 
-        int_net = WTANetwork(config, small_images[0].size)
-        int_log = UnsupervisedTrainer(int_net).train(small_images, engine="qfused")
-
-        twin_net = WTANetwork(config, small_images[0].size)
-        twin = QFusedPresentation(twin_net, storage="float")
-        twin_log = UnsupervisedTrainer(twin_net).train(small_images, engine=twin)
+        int_net, int_log = _train(config, small_images, "qfused")
+        twin_net, twin_log = _train_twin(config, small_images)
 
         assert np.array_equal(int_net.conductances, twin_net.conductances)
         assert np.array_equal(int_net.neurons.theta, twin_net.neurons.theta)
         assert int_log.spikes_per_image == twin_log.spikes_per_image
+
+    @pytest.mark.parametrize("fmt", ["Q0.8", "Q1.7", "Q8.8"])
+    @pytest.mark.parametrize(
+        "rounding",
+        [RoundingMode.TRUNCATE, RoundingMode.NEAREST, RoundingMode.STOCHASTIC],
+    )
+    def test_codes_and_draw_counts_match_float_twin(
+        self, tiny_config, small_images, fmt, rounding
+    ):
+        """Codes, thetas and spikes are bit-identical to the twin, and both
+        storages end with the ``qrounding`` and ``learning`` generators in the
+        very same state (one eq.-8 draw per changed synapse)."""
+        config = _quantized(tiny_config, fmt=fmt, rounding=rounding)
+        int_net, int_log = _train(config, small_images, "qfused")
+        twin_net, twin_log = _train_twin(config, small_images)
+
+        assert sum(int_log.spikes_per_image) > 0
+        assert int_log.spikes_per_image == twin_log.spikes_per_image
+        assert np.array_equal(int_net.conductances, twin_net.conductances)
+        assert np.array_equal(int_net.neurons.theta, twin_net.neurons.theta)
+        assert _stream_states(int_net) == _stream_states(twin_net)
+        fresh = WTANetwork(config, small_images[0].size)
+        rounding_drawn = (
+            int_net.rngs.qrounding.bit_generator.state
+            != fresh.rngs.qrounding.bit_generator.state
+        )
+        # Eq.-8 draws happen only under stochastic rounding, and only where
+        # deltas are finer than one code step: the 8-bit formats step whole
+        # LSBs, so their parity would be vacuous without the Q8.8 cases.
+        expect_draws = rounding is RoundingMode.STOCHASTIC and fmt == "Q8.8"
+        assert rounding_drawn == expect_draws
 
     def test_learning_and_rounding_streams_are_separate(
         self, tiny_config, small_images
@@ -195,6 +252,11 @@ class TestValidation:
         net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="storage"):
             QFusedPresentation(net, storage="fp8")
+
+    def test_rejects_negative_steps(self, tiny_config, small_images):
+        net = WTANetwork(_quantized(tiny_config), small_images[0].size)
+        with pytest.raises(SimulationError, match="n_steps"):
+            QFusedPresentation(net).run(small_images[0], 0.0, -1, 1.0)
 
     def test_config_requires_fixed_point_for_qfused_engine(self, tiny_config):
         with pytest.raises(ConfigurationError, match="fixed-point"):

@@ -36,12 +36,10 @@ from repro.resilience.faults import (
 class TestNextTier:
     def test_chain(self):
         assert DEGRADATION_CHAIN == {
-            "qevent": "qfused",
             "qfused": "fused",
             "event": "fused",
             "fused": "reference",
         }
-        assert next_tier("qevent") == "qfused"
         assert next_tier("qfused") == "fused"
         assert next_tier("event") == "fused"
         assert next_tier("fused") == "reference"
@@ -61,9 +59,7 @@ class TestNextTier:
         assert next_tier("event", _Stub()) == "fused"
 
     def test_degradation_path_walks_the_chain_inclusively(self):
-        assert degradation_path("qevent") == [
-            "qevent", "qfused", "fused", "reference",
-        ]
+        assert degradation_path("qfused") == ["qfused", "fused", "reference"]
         assert degradation_path("reference") == ["reference"]
         assert degradation_path("nonexistent") == ["nonexistent"]
 
@@ -118,9 +114,9 @@ class TestDegradedRuns:
 
 
 class TestFullChainWalk:
-    def test_qevent_cascades_to_reference_bit_identically(self):
-        """One run walks the entire ladder qevent → qfused → fused →
-        reference: each tier faults on the boundary replay, emitting one
+    def test_qfused_cascades_to_reference_bit_identically(self):
+        """One run walks the entire ladder qfused → fused → reference: each
+        tier faults on the boundary replay, emitting one
         :class:`EngineDegradedWarning` per hop, and the survivor run lands
         on exactly the clean reference trajectory — weights, thresholds,
         spike log and final inference responses all bit for bit.
@@ -131,7 +127,7 @@ class TestFullChainWalk:
         """
         workload = ScenarioWorkload()
         images = workload.load_images()
-        config = workload.config_for("qevent")
+        config = workload.config_for("qfused")
 
         clean = WTANetwork(config, images[0].size)
         clean_log = UnsupervisedTrainer(clean).train(images, engine="reference")
@@ -139,7 +135,7 @@ class TestFullChainWalk:
             clean, engine="reference"
         ).collect_responses(images)
 
-        chain = ["qevent", "qfused", "fused"]
+        chain = ["qfused", "fused"]
         names = install_faulty_chain(chain, fail_at=3)
         try:
             net = WTANetwork(config, images[0].size)
@@ -154,7 +150,7 @@ class TestFullChainWalk:
         hops = [
             w for w in caught if issubclass(w.category, EngineDegradedWarning)
         ]
-        assert len(hops) == 3  # one warning per tier dropped
+        assert len(hops) == 2  # one warning per tier dropped
         assert np.array_equal(net.conductances, clean.conductances)
         assert np.array_equal(net.neurons.theta, clean.neurons.theta)
         assert log.spikes_per_image == clean_log.spikes_per_image

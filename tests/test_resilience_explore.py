@@ -49,7 +49,7 @@ class TestFaultScenario:
         assert sc.scenario_id == "crash:fused:p3:a2:truncate"
 
     def test_round_trip(self):
-        sc = FaultScenario(KIND_ENGINE_FAULT, "qevent", at_presentation=6)
+        sc = FaultScenario(KIND_ENGINE_FAULT, "qfused", at_presentation=6)
         assert FaultScenario.from_dict(sc.to_dict()) == sc
 
     def test_from_dict_ignores_unknown_keys(self):
@@ -155,7 +155,7 @@ class TestFaultSpace:
 class TestScenarioWorkload:
     def test_quantized_engines_get_a_deterministic_q_format(self):
         wl = ScenarioWorkload()
-        q_config = wl.config_for("qevent")
+        q_config = wl.config_for("qfused")
         assert q_config.quantization is not None
         assert q_config.quantization.fmt == "Q1.7"
         assert wl.config_for("fused").quantization.fmt is None
