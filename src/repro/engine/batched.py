@@ -33,15 +33,14 @@ an inference engine built once and reused across training checkpoints must
 always see the current weights.
 
 With ``storage="int"`` (the ``qbatched`` engine tier) the frozen
-conductances are encoded once per call into uint8/uint16 Q-format codes
-(:class:`~repro.quantization.codec.QCodec`) and the per-step batched matmul
-runs as **integer accumulation** scaled once by ``resolution * amplitude``
-(:meth:`QCodec.batched_drive`).  On-grid code sums below ``2^53`` are exact
-and the scale factor is a power-of-two multiple of the amplitude, so the
-response matrices — and hence the predicted labels — are **bit-identical**
-to the float path under the same draws, at a quarter (uint16) to an eighth
-(uint8) of the matmul's weight-matrix memory traffic.  The integer path
-requires a fixed-point quantization config.
+conductances are encoded once per call into their on-grid Q-format codes
+(:class:`~repro.quantization.codec.QCodec`), held as integer-valued
+float64, and each step's drive is one exact BLAS GEMM over those codes
+scaled once by ``resolution * amplitude`` (:meth:`QCodec.batched_drive`).
+Code sums stay far below ``2^53`` and the scale factor is a power-of-two
+multiple of the amplitude, so the response matrices — and hence the
+predicted labels — are **bit-identical** to the float path under the same
+draws.  The integer path requires a fixed-point quantization config.
 """
 
 from __future__ import annotations
@@ -121,11 +120,11 @@ class BatchedInference:
 
         # Learned state, read fresh from the network for every call.  The
         # integer path re-encodes the frozen float view into codes once per
-        # call (exact: live conductances sit on the storage grid), so the
-        # per-step matmul reads uint8/uint16 instead of float64.
+        # call (exact: live conductances sit on the storage grid), held as
+        # float64 so the per-step matmul stays on BLAS.
         codec = self.codec
         if codec is not None:
-            g_codes = codec.encode(self.network.conductances, xp=xp)
+            g_codes = codec.encode(self.network.conductances, dtype=np.float64, xp=xp)
             inj_scale = codec.resolution * self.amplitude
         else:
             g = xp.asarray(self.network.conductances, dtype=xp.float64)
@@ -148,7 +147,7 @@ class BatchedInference:
         for _ in range(n_steps):
             input_spikes = draw(spike_prob.shape) < spike_prob
             if codec is not None:
-                injected = codec.batched_drive(input_spikes, g_codes, inj_scale, xp=xp)
+                injected = codec.batched_drive(input_spikes, g_codes, inj_scale)
             else:
                 injected = (input_spikes @ g) * self.amplitude
             if wta.synapse_model == "conductance":

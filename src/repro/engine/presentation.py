@@ -316,15 +316,15 @@ class BatchedEngine(PresentationEngine):
 class QBatchedEngine(BatchedEngine):
     """Code-native image-parallel inference (``qbatched``).
 
-    :class:`BatchedEngine` with integer conductance storage: the frozen
-    weights are encoded once into uint8/uint16 Q-format codes and the
-    per-step batched matmul accumulates in int64 with a single
-    ``resolution * amplitude`` scale.  Responses — and hence predicted
-    labels — are **bit-identical** to the float ``batched`` engine under
-    the same ``batched_eval`` draws (both draw from the restarted salted
-    stream, so the pairing is automatic); versus the *sequential* engines
-    the tier remains statistical, exactly like ``batched``.  Requires a
-    fixed-point quantization config and the numpy backend.
+    :class:`BatchedEngine` with code storage: the frozen weights are
+    encoded once per call into their on-grid Q-format codes (held as
+    integer-valued float64) and each step's drive is one exact BLAS GEMM
+    scaled once by ``resolution * amplitude``.  Responses — and hence
+    predicted labels — are **bit-identical** to the float ``batched``
+    engine under the same ``batched_eval`` draws (both draw from the
+    restarted salted stream, so the pairing is automatic); versus the
+    *sequential* engines the tier remains statistical, exactly like
+    ``batched``.  Requires a fixed-point quantization config.
     """
 
     name = "qbatched"

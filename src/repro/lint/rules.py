@@ -35,10 +35,12 @@ R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 
 #: Paths where R2 additionally polices silent float64 *upcasts*: the
 #: integer-native kernels (the code-storage training engine, and the
-#: batched engine whose qbatched path carries frozen codes) plus the whole quantization layer, where a dtype-less
-#: ``np.asarray``/``np.array`` or an ``astype(float)`` quietly promotes
-#: uint8/uint16 code arrays back to full-precision floats — the exact
-#: round trip the integer tier exists to eliminate.
+#: batched engine whose qbatched path carries frozen codes) plus the whole
+#: quantization layer, where a dtype-less ``np.asarray``/``np.array`` or an
+#: ``astype(float)`` quietly promotes uint8/uint16 code arrays to floats.
+#: Float code storage must be asked for by name (``encode(g,
+#: dtype=np.float64)``, as qbatched does to keep its GEMM on BLAS), so every
+#: widening stays a visible, deliberate choice.
 R2_INT_NATIVE_SUFFIXES: Tuple[str, ...] = (
     "engine/qfused.py",
     "engine/batched.py",

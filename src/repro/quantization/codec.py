@@ -123,7 +123,7 @@ class QCodec:
         arr = xp.asarray(values, dtype=np.float64)
         codes = np.rint(arr * self.inv_resolution)
         np.clip(codes, 0.0, float(self.max_code), out=codes)
-        return codes.astype(self.dtype if dtype is None else dtype)
+        return codes.astype(self.dtype if dtype is None else dtype, copy=False)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Integer codes -> float64 conductances (exact: ``k * 2^-n``)."""
@@ -163,29 +163,21 @@ class QCodec:
         return np.multiply(acc, scale, out=out)
 
     def batched_drive(
-        self, spikes: np.ndarray, codes: np.ndarray, scale: float, xp: Any = np
+        self, spikes: np.ndarray, codes: np.ndarray, scale: float
     ) -> np.ndarray:
-        """Image-parallel drive: ``(spikes @ codes) * scale`` on integer codes.
+        """Image-parallel drive: ``(spikes @ codes) * scale`` as one BLAS GEMM.
 
         *spikes* is a boolean ``(n_images, n_pre)`` raster slice and *codes*
-        the frozen ``(n_pre, n_neurons)`` code matrix; the matmul
-        accumulates in ``int64`` (no uint8/uint16 wraparound) and the single
-        *scale* multiply (``resolution * amplitude``) per presentation step
-        is the only rounding.  Code sums stay below ``2^53``, so the result
-        is bit-identical to the float path's ``(spikes @ g) * amplitude``
-        while moving a quarter (uint16) to an eighth (uint8) of the memory
-        traffic through the matmul.
-
-        On numpy-semantics backends (numpy, guard) the accumulation dtype
-        rides on the matmul itself; CuPy's ``matmul`` has no ``dtype``
-        keyword, so that branch widens the operands to ``int64`` first —
-        same exact integer arithmetic, one extra temporary.
+        the frozen ``(n_pre, n_neurons)`` code matrix held as integer-valued
+        float64 (``encode(g, dtype=np.float64)``), so the matmul runs on the
+        float BLAS path.  Every partial sum is an integer of at most
+        ``n_pre * max_code`` (< ``2^26`` at paper geometry), far below
+        ``2^53``, so the accumulation is exact; the single *scale* multiply
+        (``resolution * amplitude``) is the only rounding, of the same real
+        product the float path's ``(spikes @ g) * amplitude`` rounds — the
+        result is bit-identical to it.
         """
-        if getattr(xp, "__name__", "numpy").startswith("cupy"):  # pragma: no cover
-            acc = spikes.astype(np.int64) @ codes.astype(np.int64)
-        else:
-            acc = np.matmul(spikes.astype(np.uint8), codes, dtype=np.int64)
-        return np.multiply(acc, scale, dtype=np.float64)
+        return (spikes.astype(np.float64) @ codes) * scale
 
     # ------------------------------------------------------------------
     # fused delta rounding (the eq.-8 integer kernel)
