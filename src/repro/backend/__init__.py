@@ -236,12 +236,13 @@ def asnumpy(array):
     rather than matching ``type(array).__module__`` strings.  The identity
     for plain numpy arrays.
     """
-    guard = _import_guard()
-    if isinstance(array, guard.GuardArray):
-        return guard.asnumpy(array)
-    cupy = _modules.get("cupy")
-    if cupy is not None and isinstance(array, cupy.ndarray):  # pragma: no cover
-        return cupy.asnumpy(array)
+    if type(array) is not numpy.ndarray:  # plain arrays load no backend module
+        guard = _import_guard()
+        if isinstance(array, guard.GuardArray):
+            return guard.asnumpy(array)
+        cupy = _modules.get("cupy")
+        if cupy is not None and isinstance(array, cupy.ndarray):  # pragma: no cover
+            return cupy.asnumpy(array)
     # Only plain host arrays reach this line: every device-owning backend
     # was dispatched above, so there is no residency left to strip.
     return numpy.asarray(array)  # lint-ok: R8

@@ -1,12 +1,10 @@
 """Sparse event-list view of a pre-generated input spike raster.
 
-The clock-driven kernels treat the input raster as a dense ``(n_steps,
-n_channels)`` boolean matrix and pay a full matrix-vector product per step.
-At the paper's rate-coding parameters the raster is extremely sparse
-*per channel* (a 78 Hz channel fires on ~8% of 1 ms steps; a 1 Hz
-background channel on ~0.1%), so the event-accelerated engine wants the
-transpose view: *which channels fire at each step*, plus *which steps carry
-any event at all*.
+At the paper's rate-coding parameters the input raster is extremely
+sparse *per channel* (a 78 Hz channel fires on ~8% of 1 ms steps; a 1 Hz
+background channel on ~0.1%), so the training kernels want the transpose
+view: *which channels fire at each step*, plus *which steps carry any
+event at all*.
 
 :func:`sparsify` converts a raster from ``generate_train`` (leaving the
 encoding RNG stream untouched — the draw already happened) into a
@@ -14,11 +12,13 @@ encoding RNG stream untouched — the draw already happened) into a
 per-step offsets.  The occupancy statistics it exposes are the measured
 counterparts of the sparsity assumptions the event engine relies on, and
 are surfaced through ``TrainingLog`` and ``scripts/bench_training.py``.
+:func:`gather_drive` turns one step's channel list into the eq.-3 drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -78,9 +78,9 @@ class SparseRaster:
 def sparsify(raster: np.ndarray) -> SparseRaster:
     """Convert a boolean ``(n_steps, n_channels)`` raster to event lists.
 
-    ``np.nonzero`` on a C-ordered raster yields row-major order, so the
-    channel indices come out already grouped by step and sorted within each
-    step; the offsets are a ``searchsorted`` over the step indices.
+    ``np.nonzero`` on a C-ordered raster yields row-major order, so channel
+    indices come grouped by step and sorted within it; the offsets are a
+    ``searchsorted`` over the step indices, the event steps where they rise.
     """
     # Event lists are host index structures by contract; cross explicitly
     # through the backend's converter (a raster generated with an ``ops``
@@ -91,7 +91,7 @@ def sparsify(raster: np.ndarray) -> SparseRaster:
     n_steps, n_channels = raster.shape
     step_idx, channels = np.nonzero(raster)
     offsets = np.searchsorted(step_idx, np.arange(n_steps + 1))
-    event_steps = np.unique(step_idx)
+    event_steps = np.flatnonzero(np.diff(offsets))
     return SparseRaster(
         n_steps=int(n_steps),
         n_channels=int(n_channels),
@@ -99,3 +99,26 @@ def sparsify(raster: np.ndarray) -> SparseRaster:
         offsets=np.ascontiguousarray(offsets, dtype=np.intp),
         event_steps=np.ascontiguousarray(event_steps, dtype=np.intp),
     )
+
+
+def gather_drive(
+    g: np.ndarray, rows: np.ndarray, amplitude: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Eq. 3 drive ``(Σ_r g[r])·amplitude`` of the ascending spiking inputs *rows*.
+
+    The rows are summed left to right in float64, then multiplied once by
+    *amplitude*: no BLAS build or thread count enters, and every sequential
+    float engine agrees bit for bit by construction.  ``np.sum`` over axis 0
+    of the gathered C-ordered block adds row by row when there are two or
+    more columns; a lone column would reduce pairwise, so it accumulates.
+    """
+    if out is None:
+        out = np.empty_like(g, shape=g.shape[1:])
+    if rows.size == 1:
+        return np.multiply(g[rows[0]], amplitude, out=out)
+    if out.size > 1 or rows.size == 0:  # an empty sum is exact zeros
+        np.sum(g[rows], axis=0, out=out)
+    else:
+        np.copyto(out, np.add.accumulate(g[rows], axis=0)[-1])
+    out *= amplitude
+    return out

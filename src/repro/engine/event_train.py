@@ -1,18 +1,17 @@
 """Event-accelerated training: analytic jumps across quiescent spans.
 
 The fused kernel (:mod:`repro.engine.fused`) removed allocation overhead
-but stays dense clock-driven: every step pays a full ``(n_pixels,
-n_neurons)`` matrix-vector product plus per-step timer arithmetic over all
-neurons, whether or not anything happens.  This module exploits the
-temporal sparsity of rate-coded input — the direction of the lazy/
-event-driven plasticity work surveyed in PAPERS.md — in four ways:
+and injects input through a sparse row gather, but stays clock-driven:
+every step pays the membrane update and timer arithmetic over all neurons,
+whether or not anything happens.  This module exploits the temporal
+sparsity of rate-coded input — the direction of the lazy/event-driven
+plasticity work surveyed in PAPERS.md — in four ways:
 
 **Sparse input events.**  The pre-generated raster (same ``generate_train``
 draw as the fused path, so the ``encoding`` RNG stream is consumed
 identically) is converted to per-step event column lists
-(:func:`repro.encoding.events.sparsify`).  Injection at an event step
-gathers and sums only the spiking rows of the conductance matrix — a few
-row reads instead of a dense BLAS ``vec @ matrix``.
+(:func:`repro.encoding.events.sparsify`); an event step injects the fused
+kernel's ordered row gather (:func:`repro.encoding.events.gather_drive`).
 
 **Closed-form jumps.**  Between input events nothing external changes, so
 the forward-Euler recurrence is affine with a geometrically decaying drive
@@ -70,7 +69,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.backend import backend_ops
-from repro.encoding.events import sparsify
+from repro.encoding.events import gather_drive, sparsify
 from repro.engine.plasticity import (
     deterministic_rule_columns,
     resolve_fast_rule,
@@ -126,10 +125,6 @@ class EventTrainStats:
     @property
     def raster_cell_occupancy(self) -> float:
         return self.raster_active_cells / self.raster_cells if self.raster_cells else 0.0
-
-    @property
-    def input_step_occupancy(self) -> float:
-        return self.input_event_steps / self.steps_total if self.steps_total else 0.0
 
 
 def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
@@ -343,9 +338,9 @@ class EventPresentation:
 
         event_steps = sparse.event_steps
         n_events = event_steps.size
-        offsets = sparse.offsets
+        offsets = sparse.offsets.tolist()
         channels = sparse.channels
-        empty_rows = channels[:0]
+        channels_dev = ops.to_device(channels)  # sliced on device per step
 
         total_spikes = 0
         evt_ptr = 0
@@ -433,24 +428,15 @@ class EventPresentation:
                 # A crossing is possible: fall through and step this span
                 # densely, one step at a time, with exact spike detection.
                 no_jump_until = seg_end
-                rows = empty_rows
-            elif next_event > j:
-                rows = empty_rows
-            else:
-                rows = channels[offsets[j] : offsets[j + 1]]
 
             # --- one explicit step (input event or dangerous span) -------
             if profiler is not None:
                 _t0 = clock()
             t_now = t_grid[j]
-            k = rows.size
-            if k:
-                timers._last_pre[rows] = t_now
-                if k == 1:
-                    np.multiply(g[rows[0]], self._amplitude, out=inj)
-                else:
-                    np.sum(g[rows], axis=0, out=inj)
-                    inj *= self._amplitude
+            lo, hi = (offsets[j], offsets[j + 1]) if next_event == j else (0, 0)
+            if hi > lo:
+                timers._last_pre[channels[lo:hi]] = t_now
+                gather_drive(g, channels_dev[lo:hi], self._amplitude, inj)
                 if conductance_model:
                     np.subtract(wta.e_excitatory, v, out=scale)
                     scale /= self._scale_denom
@@ -519,11 +505,10 @@ class EventPresentation:
                     # reference rule only touches state / draws RNG at post
                     # spikes (plus pre events in the pair modes), so calling
                     # it exactly then keeps the learning stream identical.
-                    if n_fired or (self._pair_ltd and k):
+                    if n_fired or (self._pair_ltd and hi > lo):
                         pre_mask = self._pre_mask
                         pre_mask.fill(False)
-                        if k:
-                            pre_mask[rows] = True
+                        pre_mask[channels[lo:hi]] = True
                         if spikes_h is None:
                             spikes_h = ops.to_host(spikes)
                         rule.step(

@@ -14,7 +14,9 @@ whole image presentation it:
 
 - pre-generates the full input spike raster in **one** vectorised RNG draw
   (``generate_train`` on the encoders), consuming the ``encoding`` stream in
-  the same order as per-step draws, and pre-casts it to float once;
+  the same order as per-step draws, and keeps it as per-step event lists;
+- gathers the eq.-3 drive from the spiking rows only, with the reference
+  loop's own ordered sum (:func:`~repro.encoding.events.gather_drive`);
 - caches every loop-invariant constant (current/theta decay factors, the
   conductance-model driving-force denominator, adaptation increment);
 - advances membranes, currents, refractory/inhibition timers and thresholds
@@ -23,7 +25,7 @@ whole image presentation it:
   freely interchangeable mid-run;
 - reuses the network's learning rule and spike timers unchanged, so STDP
   consumes the ``learning`` stream identically, and conductance updates land
-  through :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta_inplace`
+  through :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta`
   without reallocating the weight matrix.
 
 The result is **bit-identical** to the reference loop under identical
@@ -40,7 +42,8 @@ bit-identical to the pre-backend kernel by construction.  On a device
 backend (``guard``, ``cupy``) the state is mirrored: uploaded once at
 :meth:`run` entry, stepped on device, downloaded back into the live host
 arrays at exit — so every host-facing seam (checkpointing, sentinel,
-normaliser, ``TrainingLog``) keeps seeing plain host float arrays.  STDP
+normaliser, ``TrainingLog``) keeps seeing plain host float arrays; the
+event list is uploaded once and sliced on the device per step.  STDP
 stays a host subsystem (rules and quantisers draw host RNG streams): the
 spike mask is downloaded at fired steps, the update lands on the host
 conductance matrix, and the touched columns are re-uploaded.
@@ -54,6 +57,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.backend import backend_ops
+from repro.encoding.events import gather_drive, sparsify
 from repro.engine.plasticity import (
     deterministic_rule_columns,
     resolve_fast_rule,
@@ -98,6 +102,7 @@ class FusedPresentation:
 
         # Preallocated per-step work buffers, resident on the backend the
         # kernel steps on (device allocations happen once, here).
+        self._injected = xp.empty(n, dtype=np.float64)
         self._scale = xp.empty(n, dtype=np.float64)
         self._eff = xp.empty(n, dtype=np.float64)
         self._dv = xp.empty(n, dtype=np.float64)
@@ -150,23 +155,20 @@ class FusedPresentation:
         lif = self._lif
         wta = self._wta
 
-        # One vectorised draw for the whole presentation (same stream order
-        # as per-step draws), cast to float once for the per-step matmuls.
         ops = self._ops
         on_host = ops.is_host
         if profiler is not None:
             _t0 = clock()
         net.present_image(image)
-        # The raster is drawn (and kept) on the host — the STDP timers and
-        # the fallback rule path index it — while the float cast used by the
-        # per-step matmuls lives on the kernel's backend.
+        # One vectorised draw for the whole presentation (same stream order
+        # as per-step draws).  The raster and event lists stay on the host
+        # for the STDP timers; the drive gathers through a device copy.
         raster = net.encoder.generate_train(n_steps, dt_ms, net.rngs.encoding)
-        raster_f = ops.to_device(raster.astype(np.float64))
+        events = sparsify(raster)
+        channels, offsets = events.channels, events.offsets.tolist()
+        channels_dev = ops.to_device(channels)
         if profiler is not None:
             profiler.add("encode", clock() - _t0)
-        # Steps with no input spikes inject exactly 0.0 (conductances and the
-        # drive amplitude are non-negative), so their matmul can be skipped.
-        row_any = raster.any(axis=1)
 
         has_decay = wta.current_tau_ms > 0.0
         decay = net.current_decay(dt_ms) if has_decay else 0.0
@@ -186,7 +188,7 @@ class FusedPresentation:
         # subsystem) and its device copy is read-only between column
         # resyncs.
         g_host = net.synapses.g  # buffer-stable: updates run through
-        #                          ConductanceMatrix.apply_delta_inplace
+        #                          ConductanceMatrix.apply_delta
         current = ops.to_device(net._current)
         v = ops.to_device(neurons._v)
         theta = ops.to_device(neurons._theta)
@@ -194,6 +196,7 @@ class FusedPresentation:
         inhibited_left = ops.to_device(neurons._inhibited_left)
         g = ops.to_device(g_host)
 
+        injected = self._injected
         scale = self._scale
         eff = self._eff
         dv = self._dv
@@ -210,17 +213,13 @@ class FusedPresentation:
         for i in range(n_steps):
             if profiler is not None:
                 _t0 = clock()
-            input_spikes = raster[i]
-            any_input = row_any[i]
-            if any_input:
-                timers._last_pre[input_spikes] = t_ms
-
-                # --- synaptic drive (eq. 3) ------------------------------
-                # The matmul stays `vec @ matrix` (not a preallocated-out
-                # dot) so it takes the same BLAS path as the reference
-                # engine — bit-identity is part of the contract.
-                injected = raster_f[i] @ g
-                injected *= self._amplitude
+            lo, hi = offsets[i], offsets[i + 1]
+            # Steps with no input spikes inject exactly 0.0 (conductances
+            # and the drive amplitude are non-negative): skip the gather.
+            if hi > lo:
+                timers._last_pre[channels[lo:hi]] = t_ms
+                # --- synaptic drive (eq. 3): ordered sparse row gather ---
+                gather_drive(g, channels_dev[lo:hi], self._amplitude, injected)
                 if self._conductance_model:
                     np.subtract(wta.e_excitatory, v, out=scale)
                     scale /= self._scale_denom
@@ -306,7 +305,7 @@ class FusedPresentation:
                     if spikes_h is None:
                         spikes_h = ops.to_host(spikes)
                     rule.step(
-                        net.synapses, timers, input_spikes, spikes_h, t_ms, rng_learning
+                        net.synapses, timers, raster[i], spikes_h, t_ms, rng_learning
                     )
                     if not on_host:
                         # The reference path may touch the whole matrix;

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 import numpy as np
 
 from repro.analysis.report import format_table
+from repro.encoding.events import gather_drive
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:
@@ -114,7 +115,9 @@ def profile_wta_step(
             input_spikes = network.encoder.step(dt_ms, network.rngs.encoding)
             network.timers.record_pre(input_spikes, t_ms)
         with profiler.section("propagate"):
-            injected = (input_spikes.astype(np.float64) @ network.synapses.g) * network.amplitude
+            injected = gather_drive(
+                network.synapses.g, np.flatnonzero(input_spikes), network.amplitude
+            )
             tau = network.config.wta.current_tau_ms
             if tau > 0.0:
                 network._current = network._current * np.exp(-dt_ms / tau) + injected

@@ -15,10 +15,10 @@ For the whole presentation, synapse conductances are held as uint8/uint16
 
 - the synaptic drive accumulates codes with an int64 row-gather sum and
   applies one precomputed scale factor ``resolution * amplitude`` — exactly
-  the float path's ``(raster @ g) * amplitude``, because on-grid sums below
-  2^53 are exact in float64 and the scale factor is a power-of-two multiple
-  of the amplitude (both expressions are one rounding of the same real
-  product);
+  the float path's ordered gather (:func:`~repro.encoding.events.gather_drive`):
+  on-grid sums below 2^53 are exact in float64 in any order, and the scale
+  factor is a power-of-two multiple of the amplitude, so both are one
+  rounding of the same real product;
 - STDP lands through the code-domain column helpers in
   :mod:`repro.engine.plasticity`: eq.-8 stochastic rounding is fused into
   the scatter as an integer compare-against-random, drawing one uniform per
@@ -45,11 +45,12 @@ Equivalence contract (enforced by ``tests/test_qfused.py`` and the
 Like the fused tier, the kernel is backend-generic: it binds an
 :class:`~repro.backend.ops.Ops` handle at construction and keeps the code
 matrix, neuron state mirrors and work buffers resident on that backend.
-The spike raster stays on the host (the code-domain drive is a row gather
-indexed from it, not a matmul), all RNG draws are host-ordered (the
-``qrounding`` stream arrives as a :class:`~repro.engine.rng.DeviceRng` on
-device backends), and at :meth:`run` exit the codes are decoded back into
-the live host ``synapses.g`` — so results are bit-identical across
+The spike raster and its event lists stay on the host (the drive gathers
+through one device copy of the event list per presentation), all RNG
+draws are host-ordered (the ``qrounding`` stream arrives as a
+:class:`~repro.engine.rng.DeviceRng` on device backends), and at
+:meth:`run` exit the codes are decoded back into the live host
+``synapses.g`` — so results are bit-identical across
 backends and every boundary consumer keeps seeing host floats.
 """
 
@@ -61,6 +62,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.backend import backend_ops
+from repro.encoding.events import sparsify
 from repro.engine.plasticity import (
     quantized_deterministic_columns,
     quantized_stochastic_columns,
@@ -195,9 +197,11 @@ class QFusedPresentation:
             _t0 = clock()
         net.present_image(image)
         raster = net.encoder.generate_train(n_steps, dt_ms, net.rngs.encoding)
+        events = sparsify(raster)
+        channels, offsets = events.channels, events.offsets.tolist()
+        channels_dev = ops.to_device(channels)
         if profiler is not None:
             profiler.add("encode", clock() - _t0)
-        row_any = raster.any(axis=1)
 
         has_decay = wta.current_tau_ms > 0.0
         decay = net.current_decay(dt_ms) if has_decay else 0.0
@@ -236,17 +240,13 @@ class QFusedPresentation:
         for i in range(n_steps):
             if profiler is not None:
                 _t0 = clock()
-            input_spikes = raster[i]
-            any_input = row_any[i]
-            if any_input:
-                timers._last_pre[input_spikes] = t_ms
-
+            lo, hi = offsets[i], offsets[i + 1]
+            if hi > lo:
+                timers._last_pre[channels[lo:hi]] = t_ms
                 # --- synaptic drive (eq. 3), integer accumulation --------
                 # Row-gather + int64 column sum over the codes, scaled once
-                # by `resolution * amplitude`.  Exactly the float path's
-                # `(raster @ g) * amplitude` (module docstring).
-                idx = np.flatnonzero(input_spikes)
-                codec.gather_drive(codes, idx, self._inj_scale, injected, acc_dtype)
+                # by `resolution * amplitude`: the float drive's one rounding.
+                codec.gather_drive(codes, channels_dev[lo:hi], self._inj_scale, injected, acc_dtype)
                 if self._conductance_model:
                     np.subtract(wta.e_excitatory, v, out=scale)
                     scale /= self._scale_denom

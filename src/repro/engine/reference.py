@@ -26,6 +26,7 @@ from typing import List
 import numpy as np
 
 from repro.config.parameters import LIFParameters
+from repro.encoding.events import gather_drive
 from repro.errors import SimulationError
 
 
@@ -131,7 +132,7 @@ def vectorized_lif_run(
 
     Companion helper for the Fig. 4 cross-validation: identical inputs in,
     output raster out, but using :class:`repro.neurons.LIFPopulation` and
-    one matrix-vector product per step.
+    one row gather per step (the scalar loop's own ascending-order sum).
     """
     from repro.neurons.lif import LIFPopulation
 
@@ -144,6 +145,6 @@ def vectorized_lif_run(
     population = LIFPopulation(weights.shape[1], params)
     out = np.zeros((raster.shape[0], weights.shape[1]), dtype=bool)
     for step_idx in range(raster.shape[0]):
-        current = (raster[step_idx].astype(np.float64) @ weights) * input_spike_amplitude
+        current = gather_drive(weights, np.flatnonzero(raster[step_idx]), input_spike_amplitude)
         out[step_idx] = population.step(current, dt_ms)
     return out

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config.parameters import ExperimentConfig, STDPKind
+from repro.encoding.events import gather_drive
 from repro.encoding.rate import make_encoder
 from repro.engine.rng import RngStreams
 from repro.engine.simulator import StepResult
@@ -157,7 +158,7 @@ class WTANetwork:
         input_spikes = self.encoder.step(dt_ms, self.rngs.encoding)
         self.timers.record_pre(input_spikes, t_ms)
 
-        injected = (input_spikes.astype(np.float64) @ self.synapses.g) * self.amplitude
+        injected = gather_drive(self.synapses.g, np.flatnonzero(input_spikes), self.amplitude)
         if self.config.wta.synapse_model == "conductance":
             # Voltage-dependent driving force, normalised to match the
             # current model at the reset potential.

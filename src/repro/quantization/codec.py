@@ -147,15 +147,13 @@ class QCodec:
     ) -> np.ndarray:
         """Sparse row-gather drive: sum the *rows* of *codes*, scale into *out*.
 
-        The code-domain image of the float kernels' ``(raster @ g) *
-        amplitude`` restricted to the spiking rows: the column sum runs in
-        *acc_dtype* (``int64`` for integer storage, ``float64`` for the
-        shadow twin — single-row and on-grid sums are exact either way) and
-        *scale* is the caller's precomputed ``resolution * amplitude``, so
-        the one multiply is the only rounding, of the very same real product
-        the float path rounds.  The single-row fast path skips the
-        reduction; a one-element sum is exact in both dtypes, so the result
-        is bit-identical to the general path.
+        The code-domain image of :func:`repro.encoding.events.gather_drive`:
+        the column sum runs in *acc_dtype* (``int64`` for integer storage,
+        ``float64`` for the shadow twin), exact in any order, and *scale* is
+        the caller's precomputed ``resolution * amplitude``, so the one
+        multiply is the only rounding, of the same real product the float
+        drive rounds.  One row skips the reduction (a one-element sum is
+        exact).
         """
         if rows.size == 1:
             return np.multiply(codes[rows[0]], scale, out=out)

@@ -14,6 +14,7 @@ import abc
 
 import numpy as np
 
+from repro.encoding.events import gather_drive
 from repro.errors import TopologyError
 
 
@@ -46,4 +47,4 @@ class SynapseGroup(abc.ABC):
             raise TopologyError(
                 f"pre_spikes must have shape ({self._n_pre},), got {pre.shape}"
             )
-        return (pre.astype(np.float64) @ self.weights) * amplitude
+        return gather_drive(self.weights, np.flatnonzero(pre), amplitude)

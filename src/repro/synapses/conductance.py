@@ -104,23 +104,10 @@ class ConductanceMatrix(SynapseGroup):
         the result is re-quantised to guarantee the storage grid invariant
         even after floating-point accumulation.
 
-        Delegates to :meth:`apply_delta_inplace`: the update mutates the
-        stored array rather than rebinding it, so views handed out earlier
-        (the fused kernel's matmul operand, monitors) keep observing the
-        live conductances.
-        """
-        self.apply_delta_inplace(delta, rng)
-
-    def apply_delta_inplace(
-        self, delta: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        """:meth:`apply_delta` semantics without reallocating ``_g``.
-
-        Produces values bit-identical to the historical
-        ``quantize(_g + quantize_delta(delta))`` expression while preserving
-        the identity of the storage buffer — the invariant the fused
-        training kernel and the batched-inference engine rely on to avoid
-        re-fetching the matrix every step.
+        Values are bit-identical to ``quantize(_g + quantize_delta(delta))``,
+        but the update mutates the stored array rather than rebinding it, so
+        views handed out earlier (the kernels' drive operand, monitors) keep
+        observing the live conductances.
         """
         delta = np.asarray(delta, dtype=np.float64)
         try:
@@ -133,6 +120,10 @@ class ConductanceMatrix(SynapseGroup):
             delta != 0.0, self.quantizer.quantize_delta(delta, rng), 0.0
         )
         np.add(self._g, quantized_delta, out=self._g)
+        self._requantize(rng)
+
+    def _requantize(self, rng: Optional[np.random.Generator]) -> None:
+        """Snap ``_g`` back onto the storage grid in place; re-apply the mask."""
         if isinstance(self.quantizer, FloatQuantizer):
             # Float storage: quantize == clip, which runs fully in place.
             np.clip(self._g, self.quantizer.g_min, self.quantizer.g_max, out=self._g)
@@ -188,9 +179,8 @@ class ConductanceMatrix(SynapseGroup):
             raise TopologyError(
                 f"values must have shape {self._g.shape}, got {values.shape}"
             )
-        np.copyto(self._g, self.quantizer.quantize(values, rng))
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
+        np.copyto(self._g, values)
+        self._requantize(rng)
 
     def per_neuron_maps(self, side: Optional[int] = None) -> np.ndarray:
         """Reshape to per-post-neuron square maps for visualisation (Fig. 5).
@@ -216,10 +206,8 @@ class ConductanceMatrix(SynapseGroup):
         if target_sum <= 0.0:
             raise TopologyError(f"target_sum must be positive, got {target_sum}")
         sums = self._g.sum(axis=0)
-        scale = np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
-        np.copyto(self._g, self.quantizer.quantize(self._g * scale, rng))
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
+        self._g *= np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
+        self._requantize(rng)
 
     @property
     def connectivity(self) -> Optional[np.ndarray]:

@@ -88,6 +88,47 @@ class TestGuardTrainingGrid:
         assert stats.d2h > 0
 
 
+#: Host->device uploads of one frozen fused presentation: five state
+#: mirrors (current, v, theta, refractory and inhibition timers), the
+#: conductances, and the step event list.
+FUSED_PRESENTATION_UPLOADS = 7
+
+
+class TestGuardPresentationTransfers:
+    def test_fused_uploads_do_not_scale_with_input_events(self, monkeypatch):
+        """The event list is uploaded once per presentation and sliced on
+        the device, so a presentation with many input-event steps uploads
+        no more than one with a handful."""
+        import repro.engine.fused as fused_module
+        from repro.config.presets import get_preset
+        from repro.datasets import load_dataset
+        from repro.encoding.events import sparsify
+
+        event_steps = []
+
+        def recording(raster):
+            events = sparsify(raster)
+            event_steps.append(int(events.event_steps.size))
+            return events
+
+        monkeypatch.setattr(fused_module, "sparsify", recording)
+        cfg = get_preset("high_frequency", n_neurons=8, seed=0)
+        image = load_dataset("mnist", n_train=1, n_test=1, size=8, seed=42).train_images[0]
+        uploads = []
+        for n_steps in (3, 100):
+            net = WTANetwork(cfg, image.size)
+            net.freeze()
+            with use_backend("guard"):
+                kernel = fused_module.FusedPresentation(net)
+                reset_counters()
+                kernel.run(image, 0.0, n_steps, 1.0)
+                stats = transfer_stats()
+            assert stats.violations == 0
+            uploads.append(stats.h2d)
+        assert event_steps[1] >= 10 * max(event_steps[0], 1)
+        assert uploads[0] == uploads[1] <= FUSED_PRESENTATION_UPLOADS
+
+
 class TestGuardEvaluationGrid:
     @pytest.mark.parametrize("engine,quantized", [("batched", False), ("qbatched", True)])
     def test_batched_responses_identical_across_backends(

@@ -98,6 +98,34 @@ class TestUtilities:
         m.normalize_columns(3.0)
         assert np.allclose(m.g.sum(axis=0), 3.0, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "quantizer",
+        [
+            None,
+            Quantizer(parse_qformat("Q1.7"), RoundingMode.NEAREST),
+            Quantizer(parse_qformat("Q1.7"), RoundingMode.STOCHASTIC),
+        ],
+        ids=["float", "q17-nearest", "q17-stochastic"],
+    )
+    @pytest.mark.parametrize("target_sum", [3.0, 40.0])  # 40 pushes entries past g_max
+    def test_normalize_in_place_matches_out_of_place_expression(self, quantizer, target_sum):
+        m = ConductanceMatrix(
+            30, 5, quantizer=quantizer, rng=np.random.default_rng(1),
+            connectivity=np.random.default_rng(2).random((30, 5)) < 0.8,
+        )
+        m.g[:, 2] = 0.0  # a silent column stays untouched
+        g = m.g.copy()
+        sums = g.sum(axis=0)
+        scale = np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
+        rng_old, rng_new = np.random.default_rng(9), np.random.default_rng(9)
+        expected = m.quantizer.quantize(g * scale, rng_old)
+        expected[~m.connectivity] = 0.0
+        buffer = m.g
+        m.normalize_columns(target_sum, rng_new)
+        assert m.g is buffer
+        assert m.g.tobytes() == expected.tobytes()
+        assert rng_old.random() == rng_new.random()  # the same draws were consumed
+
     def test_normalize_invalid_target(self, rng):
         m = ConductanceMatrix(4, 4, rng=rng)
         with pytest.raises(TopologyError):

@@ -208,6 +208,26 @@ class TestSparsify:
         assert sparse.n_events == int(raster.sum())
         assert sparse.cell_occupancy == pytest.approx(raster.mean())
         assert sparse.step_occupancy == pytest.approx(raster.any(axis=1).mean())
+        assert np.array_equal(sparse.event_steps, np.flatnonzero(raster.any(axis=1)))
+
+    def test_host_raster_loads_no_extra_modules(self):
+        """Every sequential kernel sparsifies each presentation, so a host
+        raster must not pull in the guard backend or ``numpy.ma`` (which
+        ``np.unique`` imports): both stay resident and raise peak RSS."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, numpy as np\n"
+            "from repro.encoding.events import sparsify\n"
+            "sparsify(np.eye(4, dtype=bool))\n"
+            "print([m for m in ('repro.backend.guard', 'numpy.ma') if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_empty_raster(self):
         sparse = sparsify(np.zeros((10, 4), dtype=bool))

@@ -4,7 +4,9 @@ The contract under test (see :mod:`repro.engine.fused`): training with
 ``engine="fused"`` must produce **bit-identical** learned state — conductances,
 adaptive thresholds and per-image spike counts — to the reference step loop
 under identical :class:`~repro.engine.rng.RngStreams` seeds, across storage
-formats, rounding modes, learning rules, encoders and synapse models.
+formats, rounding modes, learning rules, encoders and synapse models.  Both
+paths compute the eq.-3 drive with :func:`~repro.encoding.events.gather_drive`,
+whose summation order is pinned here too.
 """
 
 from __future__ import annotations
@@ -13,12 +15,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.engine.event_train as event_train_module
+import repro.engine.fused as fused_module
 from repro.config.parameters import RoundingMode, STDPKind
 from repro.config.presets import get_preset
+from repro.datasets import load_dataset
+from repro.encoding.events import gather_drive
 from repro.encoding.periodic import PeriodicEncoder
 from repro.encoding.poisson import PoissonEncoder
+from repro.engine.event_train import EventPresentation
 from repro.engine.fused import FusedPresentation
+from repro.engine.registry import create_training_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
@@ -87,6 +96,137 @@ class TestBitIdentity:
             trainer.train(image[None], engine="fused" if i % 2 else "reference")
         assert np.array_equal(net_ref.conductances, net_mix.conductances)
         assert np.array_equal(net_ref.neurons.theta, net_mix.neurons.theta)
+
+
+def _ordered_loop_drive(g, rows, amplitude):
+    """Eq. 3 spelled out: ascending rows, left-to-right float64 sum, one multiply."""
+    acc = 0.0
+    for r in sorted(rows):
+        acc = acc + g[r]
+    return acc * amplitude * np.ones(g.shape[1])
+
+
+class TestDriveOrder:
+    """The drive is an ordered row gather, independent of BLAS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_explicit_ordered_loop(self, data):
+        n_pre = data.draw(st.integers(1, 80), label="n_pre")
+        n_post = data.draw(st.integers(1, 12), label="n_post")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        # Magnitudes spread over many binades make the rounding of a sum
+        # depend on its order, so a reordered accumulation would show.
+        g = rng.random((n_pre, n_post)) * 2.0 ** rng.integers(-40, 40, (n_pre, n_post))
+        rows = np.array(
+            sorted(data.draw(
+                st.lists(st.integers(0, n_pre - 1), unique=True, max_size=min(60, n_pre)),
+                label="rows",
+            )),
+            dtype=np.intp,
+        )
+        amplitude = data.draw(st.floats(0.0, 100.0), label="amplitude")
+        out = np.empty(n_post)
+        got = gather_drive(g, rows, amplitude, out)
+        assert got is out
+        expected = _ordered_loop_drive(g, rows, amplitude)
+        assert got.tobytes() == expected.tobytes()
+        assert gather_drive(g, rows, amplitude).tobytes() == expected.tobytes()
+
+    def test_empty_and_single_row(self):
+        g = np.random.default_rng(0).random((5, 3))
+        assert gather_drive(g, np.array([], dtype=np.intp), 2.5).tobytes() == (
+            np.zeros(3).tobytes()
+        )
+        assert gather_drive(g, np.array([3]), 2.5).tobytes() == (g[3] * 2.5).tobytes()
+
+    @pytest.mark.parametrize("n_post", [1, 2])
+    def test_order_is_ascending_not_pairwise(self, n_post):
+        """``1 + 2^-53`` rounds back to 1 on every add of the ascending sum;
+        a pairwise or reversed reduction would first add the tiny rows to
+        each other and end above 1.  The single-column case is the one
+        numpy's own ``sum`` would reduce pairwise."""
+        column = np.array([1.0] + [2.0**-53] * 8)
+        g = np.repeat(column[:, None], n_post, axis=1)
+        rows = np.arange(9)
+        assert np.all(gather_drive(g, rows, 1.0) == 1.0)
+        assert column[::-1].cumsum()[-1] > 1.0 and column.sum() > 1.0
+
+
+def _presentation_state(net):
+    return {
+        "v": net.neurons.v.copy(),
+        "current": net._current.copy(),
+        "theta": net.neurons.theta.copy(),
+        "g": net.conductances.copy(),
+    }
+
+
+class TestPaperWidthBitIdentity:
+    """784 inputs at the high-frequency rates: most event steps gather
+    several rows, the regime where summation order decides the last bits."""
+
+    def test_fused_matches_reference_per_presentation(self, monkeypatch):
+        cfg = get_preset("high_frequency", n_neurons=40, seed=3)
+        images = load_dataset("mnist", n_train=3, n_test=1, size=28, seed=5).train_images
+        widths = []
+
+        def recording(g, rows, amplitude, out=None):
+            widths.append(rows.size)
+            return gather_drive(g, rows, amplitude, out)
+
+        monkeypatch.setattr(fused_module, "gather_drive", recording)
+        nets = {}
+        kernels = {}
+        for name in ("reference", "fused"):
+            nets[name] = WTANetwork(cfg, n_pixels=images[0].size)
+            kernels[name] = create_training_engine(name, nets[name])
+        dt = cfg.simulation.dt_ms
+        n_steps = int(round(cfg.simulation.t_learn_ms / dt))
+        clocks = {"reference": 0.0, "fused": 0.0}
+        total = 0
+        for image in images:
+            counts = {}
+            for name in ("reference", "fused"):
+                counts[name] = np.zeros(cfg.wta.n_neurons, dtype=np.int64)
+                _, clocks[name] = kernels[name].run(
+                    image, clocks[name], n_steps, dt, out_counts=counts[name]
+                )
+            state_ref = _presentation_state(nets["reference"])
+            state_fus = _presentation_state(nets["fused"])
+            for key, value in state_ref.items():
+                assert value.tobytes() == state_fus[key].tobytes(), key
+            assert np.array_equal(counts["reference"], counts["fused"])
+            total += int(counts["fused"].sum())
+            for net in nets.values():
+                net.rest()
+        assert total > 0
+        assert max(widths) >= 8, "no multi-row gathers: the test would be vacuous"
+        assert np.mean(np.array(widths) > 1) > 0.5
+
+    def test_event_injects_the_fused_drive(self, monkeypatch):
+        """Frozen conductances make the drive a function of the step's rows
+        alone, so both kernels must gather the same rows to the same bits
+        at every input-event step."""
+        cfg = get_preset("high_frequency", n_neurons=40, seed=3)
+        image = load_dataset("mnist", n_train=1, n_test=1, size=28, seed=5).train_images[0]
+        drives = {}
+        for module, kernel_cls in ((fused_module, FusedPresentation),
+                                   (event_train_module, EventPresentation)):
+            record = drives.setdefault(kernel_cls.__name__, [])
+
+            def recording(g, rows, amplitude, out=None, record=record):
+                result = gather_drive(g, rows, amplitude, out)
+                record.append((np.asarray(rows).tobytes(), result.tobytes()))
+                return result
+
+            monkeypatch.setattr(module, "gather_drive", recording)
+            net = WTANetwork(cfg, n_pixels=image.size)
+            net.freeze()
+            kernel_cls(net).run(image, 0.0, 100, cfg.simulation.dt_ms)
+        assert len(drives["FusedPresentation"]) > 10
+        assert drives["EventPresentation"] == drives["FusedPresentation"]
 
 
 class TestStatisticalEquivalence:
