@@ -63,7 +63,8 @@ high-frequency rates: 1000 output neurons on 16x16 inputs with 5-78 Hz
 input trains over the 100 ms presentation schedule — the regime the event
 engine's acceptance floor (>= 1.5x over fused) is defined at.
 
-``--check`` compares a fresh run against the committed baseline: the
+``--check`` compares a fresh run against the committed baseline (and
+writes its payload only to an explicit ``--out``): the
 equivalence re-checks (training contracts **and** evaluation bit-identity)
 are **blocking** (exit 1 on any violation — a correctness regression),
 while speedup floors derived from the baseline (``CHECK_FLOOR_FRACTION``
@@ -153,8 +154,11 @@ def _build_quantized(n_neurons: int, n_pixels: int, seed: int, rounding: str):
 
 
 def bench_training(args, images) -> dict:
-    from repro.engine.event_train import CONDUCTANCE_ATOL
-    from repro.engine.registry import check_equivalence, get_engine_spec
+    from repro.engine.registry import (
+        CONDUCTANCE_ATOL,
+        check_equivalence,
+        get_engine_spec,
+    )
     from repro.pipeline.trainer import UnsupervisedTrainer
 
     results = {}
@@ -210,8 +214,9 @@ def bench_qfused(args, images) -> dict:
     Trains the same workload under the ``Q1.7``/stochastic quantization
     config three ways — the fused engine (quantize -> dequantize round trip
     in float), the integer-native qfused engine (uint8 codes end-to-end),
-    and qfused's float shadow twin (same algorithm and rounding draws, but
-    float64 code storage) — then re-checks the tier's contracts:
+    and qfused's float shadow twin (the fused kernel on
+    ``CodeStorage(net, dtype=np.float64)``: same algorithm and rounding
+    draws, float64 code storage) — then re-checks the tier's contracts:
 
     - qfused vs the twin at ``conductance_atol=0.0``: identical spike
       counts *and* identical conductances prove integer storage changed
@@ -224,8 +229,13 @@ def bench_qfused(args, images) -> dict:
     All violations are blocking under ``--check``; the
     ``qfused_over_fused`` speedup feeds the usual warning-tier floors.
     """
-    from repro.engine.qfused import QFusedPresentation
-    from repro.engine.registry import check_equivalence, get_engine_spec
+    from repro.engine.fused import FusedPresentation
+    from repro.engine.registry import (
+        check_equivalence,
+        create_training_engine,
+        get_engine_spec,
+    )
+    from repro.engine.storage import CodeStorage
     from repro.pipeline.trainer import UnsupervisedTrainer
 
     results: dict = {}
@@ -250,7 +260,7 @@ def bench_qfused(args, images) -> dict:
     _row("fused", QFUSED_ROUNDING, lambda net: "fused")
     _row("qfused", QFUSED_ROUNDING, lambda net: "qfused")
     _row("float_twin", QFUSED_ROUNDING,
-         lambda net: QFusedPresentation(net, storage="float"))
+         lambda net: FusedPresentation(net, CodeStorage(net, dtype=np.float64)))
     _row("fused_nearest", "nearest", lambda net: "fused")
     _row("qfused_nearest", "nearest", lambda net: "qfused")
 
@@ -278,9 +288,10 @@ def bench_qfused(args, images) -> dict:
         )
 
     # End-to-end width probe: the live code matrix of a freshly built
-    # kernel at this workload's scale and format.
-    probe = QFusedPresentation(
-        _build_quantized(args.neurons, images[0].size, args.seed, QFUSED_ROUNDING)
+    # qfused engine at this workload's scale and format.
+    probe = create_training_engine(
+        "qfused",
+        _build_quantized(args.neurons, images[0].size, args.seed, QFUSED_ROUNDING),
     )
     code_bits = int(probe.codes.dtype.itemsize) * 8
     if probe.codes.dtype.kind != "u" or code_bits > 16:
@@ -645,11 +656,13 @@ def main() -> int:
                         help="output-layer size (paper scale: 1000)")
     parser.add_argument("--size", type=int, default=16, help="image side length")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_train.json")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="results file (default: BENCH_train.json at the repo "
+                             "root); with --check, written only when given")
     parser.add_argument("--check", action="store_true",
                         help="regression mode: verify equivalence contracts (blocking) "
                              "and speedup floors vs --baseline (warning); "
-                             "does not overwrite --out")
+                             "leaves BENCH_train.json untouched")
     parser.add_argument("--baseline", type=Path, default=REPO_ROOT / "BENCH_train.json",
                         help="committed results used to derive --check floors")
     parser.add_argument("--strict-speed", action="store_true",
@@ -774,11 +787,12 @@ def main() -> int:
         print(f"           {engine:<9} h2d {tr['h2d']:<5} d2h {tr['d2h']:<5} "
               f"alloc {tr['allocations']:<5} violations {tr['violations']}")
 
+    if args.out is not None or not args.check:
+        out = args.out or REPO_ROOT / "BENCH_train.json"
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}")
     if args.check:
         return check_against_baseline(payload, args.baseline, args.strict_speed)
-
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
     return 0
 
 

@@ -4,8 +4,9 @@
   engines with declared capabilities and equivalence tiers, the single
   seam trainer/evaluator/experiment/CLI/bench resolve engines through.
 - :mod:`repro.engine.presentation` — the :class:`PresentationEngine`
-  protocol and the built-in reference / fused / event / batched adapters
-  spanning training and (plasticity-frozen, bit-identical) evaluation.
+  protocol and the built-in reference / fused / qfused / event / batched /
+  qbatched adapters spanning training and (plasticity-frozen,
+  bit-identical) evaluation.
 - :mod:`repro.engine.rng` — named, independently-seeded random streams (the
   CUDA RNG substitute; see DESIGN.md).
 - :mod:`repro.engine.clock` — the simulation clock.
@@ -18,15 +19,20 @@
   the paper).
 - :mod:`repro.engine.fused` — the fused training fast path: one image
   presentation per kernel call, pre-generated spike trains and
-  allocation-free in-place stepping, bit-identical to the reference loop
-  (registry name ``"fused"``).
+  allocation-free in-place stepping; with float conductance storage it is
+  bit-identical to the reference loop (registry name ``"fused"``), with
+  Q-format code storage it is the integer tier (``"qfused"``).
+- :mod:`repro.engine.storage` — the two conductance storages of the fused
+  loop: the live float matrix, or uint8/uint16 Q-format codes with an
+  integer drive and eq.-8 rounding fused into the STDP scatter.
 - :mod:`repro.engine.event_train` — the event-accelerated training tier:
   sparse input events, closed-form jumps across quiescent spans bounded by
   a threshold-crossing predictor, lazy plasticity/timer state;
   spike-trajectory equivalent to the fused oracle (registry name
   ``"event"``).
-- :mod:`repro.engine.plasticity` — the column-restricted STDP application
-  shared by both fast kernels.
+- :mod:`repro.engine.plasticity` — the column-restricted STDP rule bodies,
+  written once against either storage and shared by the fused and event
+  kernels.
 - :mod:`repro.engine.monitors` — spike/state/conductance recording.
 
 Attributes resolve lazily (PEP 562): importing :mod:`repro.engine` — or
@@ -41,10 +47,12 @@ from typing import Any, Dict, List
 #: Public name -> defining submodule, resolved on first attribute access.
 _EXPORTS: Dict[str, str] = {
     "BatchedInference": "repro.engine.batched",
-    "CONDUCTANCE_ATOL": "repro.engine.event_train",
+    "CodeStorage": "repro.engine.storage",
+    "CONDUCTANCE_ATOL": "repro.engine.registry",
     "EventPresentation": "repro.engine.event_train",
     "EventTrainStats": "repro.engine.event_train",
     "FusedPresentation": "repro.engine.fused",
+    "FloatStorage": "repro.engine.storage",
     "SimulationClock": "repro.engine.clock",
     "CurrentStep": "repro.engine.event_driven",
     "EventDrivenLIF": "repro.engine.event_driven",
@@ -72,6 +80,7 @@ _EXPORTS: Dict[str, str] = {
     "PresentationEngine": "repro.engine.presentation",
     "ReferenceEngine": "repro.engine.presentation",
     "FusedEngine": "repro.engine.presentation",
+    "QFusedEngine": "repro.engine.presentation",
     "EventEngine": "repro.engine.presentation",
     "BatchedEngine": "repro.engine.presentation",
 }

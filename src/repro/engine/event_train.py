@@ -49,10 +49,10 @@ interchangeable between images.
 Contract — **spike-trajectory equivalence**, not bit-identity: under pinned
 seeds the engine must produce the same spike trains (hence identical
 ``learning``-stream consumption) and conductances within a documented
-tolerance (:data:`CONDUCTANCE_ATOL`); the fused kernel remains the
-bit-exact oracle.  The closed forms evaluate the same real-number
-recurrence the dense loop iterates, so membrane deviations are at the
-floating-point rearrangement level (``~1e-12`` relative); weight updates
+tolerance (:data:`repro.engine.registry.CONDUCTANCE_ATOL`); the fused
+kernel remains the bit-exact oracle.  The closed forms evaluate the same
+real-number recurrence the dense loop iterates, so membrane deviations are
+at the floating-point rearrangement level (``~1e-12`` relative); weight updates
 depend only on spike times, timers and the ``learning`` stream, so in
 practice conductances come out exactly equal whenever the spike trains
 match.  ``tests/test_event_train.py`` pins both, and
@@ -68,27 +68,14 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import backend_ops
-from repro.encoding.events import gather_drive, sparsify
-from repro.engine.plasticity import (
-    deterministic_rule_columns,
-    resolve_fast_rule,
-    stochastic_rule_columns,
-)
+from repro.encoding.events import sparsify
+from repro.engine.storage import FloatStorage
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.network.wta import WTANetwork
 
 if TYPE_CHECKING:
     from repro.engine.profiler import StepProfiler
-
-#: Absolute tolerance on learned conductances versus the fused/reference
-#: path (the documented part of the spike-trajectory-equivalence contract).
-#: In practice conductances match exactly when the spike trains match —
-#: weight updates read spike timers and the ``learning`` stream, never the
-#: analytically-advanced membrane state — so the tolerance only guards the
-#: comparison against future value-equivalent refactors.
-CONDUCTANCE_ATOL = 1e-9
 
 #: Safety margin (mV) subtracted from the lowest reachable threshold in the
 #: jump predictor.  Closed-form membranes deviate from dense stepping at the
@@ -152,7 +139,9 @@ class EventPresentation:
     """
 
     def __init__(self, network: WTANetwork) -> None:
-        self._ops = backend_ops()
+        #: Float conductance storage, shared with the fused kernel.
+        self.storage = FloatStorage(network)
+        self._ops = self.storage.ops
         xp = self._ops.xp
         if network.config.lif.b >= 0.0:
             raise ConfigurationError(
@@ -166,12 +155,10 @@ class EventPresentation:
         self._lif = cfg.lif
         n = cfg.wta.n_neurons
 
-        self._amplitude = network.amplitude
         self._conductance_model = cfg.wta.synapse_model == "conductance"
         self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
         self._subtractive = network.neurons.inhibition_strength > 0.0
 
-        self._fast_rule = resolve_fast_rule(network)
         # PAIR/BOTH-mode LTD consumes the learning stream at *pre*-spike
         # steps too, so the fallback rule must run at every input-event step.
         rule = network.rule
@@ -280,18 +267,17 @@ class EventPresentation:
         # State arrays: the network's live arrays on the host backend
         # (identity transfers), uploaded mirrors on a device backend with a
         # download at the end of the presentation.  The host conductance
-        # matrix stays authoritative (STDP is a host subsystem); its device
-        # copy is read-only between column resyncs.
+        # matrix stays authoritative (STDP is a host subsystem); the
+        # storage's device copy is read-only between column resyncs.
         ops = self._ops
         on_host = ops.is_host
-        g_host = net.synapses.g
         current = ops.to_device(net._current)
         v = ops.to_device(neurons._v)
         theta = ops.to_device(neurons._theta)
-        g = ops.to_device(g_host)
-        rule = net.rule
+        storage = self.storage
+        storage.begin()
         rng_learning = net.rngs.learning
-        fast_rule = self._fast_rule
+        full_matrix = storage.full_matrix
 
         inj = self._inj
         scale = self._scale
@@ -436,7 +422,7 @@ class EventPresentation:
             lo, hi = (offsets[j], offsets[j + 1]) if next_event == j else (0, 0)
             if hi > lo:
                 timers._last_pre[channels[lo:hi]] = t_now
-                gather_drive(g, channels_dev[lo:hi], self._amplitude, inj)
+                storage.drive(channels_dev[lo:hi], inj)
                 if conductance_model:
                     np.subtract(wta.e_excitatory, v, out=scale)
                     scale /= self._scale_denom
@@ -497,40 +483,20 @@ class EventPresentation:
 
             # STDP runs on the host (rules/quantisers are host subsystems):
             # on a device backend the spike mask is downloaded at the steps
-            # that need it and the updated conductance columns re-uploaded.
+            # that learn.  The reference rule of the fallback configs
+            # (stochastic rounding, pair-LTD) only touches state / draws RNG
+            # at post spikes (plus pre events in the pair modes), so calling
+            # it exactly then keeps the learning stream identical.
             spikes_h = spikes if on_host else None
-            if learning:
-                if fast_rule is None:
-                    # Fallback configs (stochastic rounding, pair-LTD): the
-                    # reference rule only touches state / draws RNG at post
-                    # spikes (plus pre events in the pair modes), so calling
-                    # it exactly then keeps the learning stream identical.
-                    if n_fired or (self._pair_ltd and hi > lo):
-                        pre_mask = self._pre_mask
-                        pre_mask.fill(False)
-                        pre_mask[channels[lo:hi]] = True
-                        if spikes_h is None:
-                            spikes_h = ops.to_host(spikes)
-                        rule.step(
-                            net.synapses, timers, pre_mask, spikes_h, t_now, rng_learning
-                        )
-                        if not on_host:
-                            # The reference path may touch the whole matrix.
-                            g = ops.to_device(g_host)
-                elif n_fired:
-                    if spikes_h is None:
-                        spikes_h = ops.to_host(spikes)
-                    if fast_rule == "stochastic":
-                        stochastic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_now, rng_learning
-                        )
-                    else:
-                        deterministic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_now, rng_learning
-                        )
-                    if not on_host:
-                        cols = np.flatnonzero(spikes_h)
-                        g[:, cols] = ops.to_device(g_host[:, cols])
+            if learning and (n_fired or (self._pair_ltd and hi > lo)):
+                pre_mask = None
+                if full_matrix:
+                    pre_mask = self._pre_mask
+                    pre_mask.fill(False)
+                    pre_mask[channels[lo:hi]] = True
+                if spikes_h is None:
+                    spikes_h = ops.to_host(spikes)
+                storage.learn(pre_mask, spikes_h, t_now, rng_learning)
             if n_fired:
                 if spikes_h is None:
                     spikes_h = ops.to_host(spikes)

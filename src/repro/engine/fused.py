@@ -15,8 +15,8 @@ whole image presentation it:
 - pre-generates the full input spike raster in **one** vectorised RNG draw
   (``generate_train`` on the encoders), consuming the ``encoding`` stream in
   the same order as per-step draws, and keeps it as per-step event lists;
-- gathers the eq.-3 drive from the spiking rows only, with the reference
-  loop's own ordered sum (:func:`~repro.encoding.events.gather_drive`);
+- gathers the eq.-3 drive from the spiking rows only, through its
+  conductance storage;
 - caches every loop-invariant constant (current/theta decay factors, the
   conductance-model driving-force denominator, adaptation increment);
 - advances membranes, currents, refractory/inhibition timers and thresholds
@@ -24,15 +24,22 @@ whole image presentation it:
   the network's own state arrays so the fused and reference paths are
   freely interchangeable mid-run;
 - reuses the network's learning rule and spike timers unchanged, so STDP
-  consumes the ``learning`` stream identically, and conductance updates land
-  through :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta`
-  without reallocating the weight matrix.
+  consumes the ``learning`` stream identically.
 
-The result is **bit-identical** to the reference loop under identical
-:class:`~repro.engine.rng.RngStreams` seeds (the equivalence tests pin
-conductances, thetas and spike counts for float and Q1.7 storage), at a
-multiple of its throughput — the factor ``scripts/bench_training.py``
-records in ``BENCH_train.json``.
+How conductances are *stored* is the one thing that differs between
+precisions, and it lives behind the storage seams of
+:mod:`repro.engine.storage`: :class:`~repro.engine.storage.FloatStorage`
+(engine ``fused``) keeps the live float64 ``synapses.g`` and applies STDP
+through :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta_columns`;
+:class:`~repro.engine.storage.CodeStorage` (engine ``qfused``) holds
+uint8/uint16 Q-format codes with an integer drive and code-domain STDP.
+
+With float storage the result is **bit-identical** to the reference loop
+under identical :class:`~repro.engine.rng.RngStreams` seeds (the
+equivalence tests pin conductances, thetas and spike counts for float and
+Q1.7 storage), at a multiple of its throughput — the factor
+``scripts/bench_training.py`` records in ``BENCH_train.json``.  Code
+storage's contract is in :mod:`repro.engine.storage`.
 
 The kernel is backend-generic: it binds an :class:`~repro.backend.ops.Ops`
 handle at construction and expresses all per-step math against its array
@@ -43,10 +50,9 @@ backend (``guard``, ``cupy``) the state is mirrored: uploaded once at
 :meth:`run` entry, stepped on device, downloaded back into the live host
 arrays at exit — so every host-facing seam (checkpointing, sentinel,
 normaliser, ``TrainingLog``) keeps seeing plain host float arrays; the
-event list is uploaded once and sliced on the device per step.  STDP
-stays a host subsystem (rules and quantisers draw host RNG streams): the
-spike mask is downloaded at fired steps, the update lands on the host
-conductance matrix, and the touched columns are re-uploaded.
+event list is uploaded once and sliced on the device per step.  Spike
+timers and the Bernoulli draws stay host subsystems: the spike mask is
+downloaded at the steps that learn.
 """
 
 from __future__ import annotations
@@ -56,13 +62,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import backend_ops
-from repro.encoding.events import gather_drive, sparsify
-from repro.engine.plasticity import (
-    deterministic_rule_columns,
-    resolve_fast_rule,
-    stochastic_rule_columns,
-)
+from repro.encoding.events import sparsify
+from repro.engine.storage import ConductanceStorage, FloatStorage
 from repro.errors import SimulationError
 from repro.network.wta import WTANetwork
 
@@ -80,8 +81,12 @@ class FusedPresentation:
     produced here too, bit for bit.
     """
 
-    def __init__(self, network: WTANetwork) -> None:
-        self._ops = backend_ops()
+    def __init__(
+        self, network: WTANetwork, storage: Optional[ConductanceStorage] = None
+    ) -> None:
+        #: Conductance storage (float unless the engine picks codes).
+        self.storage = FloatStorage(network) if storage is None else storage
+        self._ops = self.storage.ops
         xp = self._ops.xp
         self.net = network
         cfg = network.config
@@ -90,15 +95,9 @@ class FusedPresentation:
         n = cfg.wta.n_neurons
 
         # Loop-invariant constants.
-        self._amplitude = network.amplitude
         self._conductance_model = cfg.wta.synapse_model == "conductance"
         self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
         self._subtractive = network.neurons.inhibition_strength > 0.0
-
-        # Column-restricted STDP dispatch (shared with the event kernel; see
-        # repro.engine.plasticity for the validity argument).  Configs the
-        # restriction cannot serve fall back to the reference rule object.
-        self._fast_rule = resolve_fast_rule(network)
 
         # Preallocated per-step work buffers, resident on the backend the
         # kernel steps on (device allocations happen once, here).
@@ -150,7 +149,7 @@ class FusedPresentation:
         clock = time.perf_counter
         neurons = net.neurons
         timers = net.timers
-        rule = net.rule
+        storage = self.storage
         rng_learning = net.rngs.learning
         lif = self._lif
         wta = self._wta
@@ -183,18 +182,16 @@ class FusedPresentation:
         # State arrays.  On the host backend these are the network's live
         # arrays, mutated in place (never rebound) so the network object
         # stays authoritative throughout.  On a device backend they are
-        # mirrors uploaded here and downloaded back at exit; the host
-        # conductance matrix stays authoritative throughout (STDP is a host
-        # subsystem) and its device copy is read-only between column
-        # resyncs.
-        g_host = net.synapses.g  # buffer-stable: updates run through
-        #                          ConductanceMatrix.apply_delta
+        # mirrors uploaded here and downloaded back at exit.  Conductances
+        # sync through the storage's boundary seams.
         current = ops.to_device(net._current)
         v = ops.to_device(neurons._v)
         theta = ops.to_device(neurons._theta)
         refractory = ops.to_device(neurons._refractory_left)
         inhibited_left = ops.to_device(neurons._inhibited_left)
-        g = ops.to_device(g_host)
+        storage.begin()
+        drive = storage.drive
+        full_matrix = storage.full_matrix
 
         injected = self._injected
         scale = self._scale
@@ -208,7 +205,6 @@ class FusedPresentation:
         spikes = self._spikes
         losers = self._losers
 
-        fast_rule = self._fast_rule
         total_spikes = 0
         for i in range(n_steps):
             if profiler is not None:
@@ -218,8 +214,8 @@ class FusedPresentation:
             # and the drive amplitude are non-negative): skip the gather.
             if hi > lo:
                 timers._last_pre[channels[lo:hi]] = t_ms
-                # --- synaptic drive (eq. 3): ordered sparse row gather ---
-                gather_drive(g, channels_dev[lo:hi], self._amplitude, injected)
+                # --- synaptic drive (eq. 3): sparse row gather ----------
+                drive(channels_dev[lo:hi], injected)
                 if self._conductance_model:
                     np.subtract(wta.e_excitatory, v, out=scale)
                     scale /= self._scale_denom
@@ -293,38 +289,15 @@ class FusedPresentation:
 
             # --- plasticity and timers -----------------------------------
             # The column-restricted rule paths reproduce the reference
-            # rules' values and RNG draws exactly (see __init__); configs
-            # they cannot serve keep calling the reference rule object.
-            # STDP runs on the host against the live conductance matrix
-            # (rules/quantisers are host subsystems): on a device backend
-            # the spike mask is downloaded first and the updated columns
-            # re-uploaded after.
+            # rules' values and RNG draws exactly; configs they cannot
+            # serve (float storage only) call the reference rule object at
+            # every step.  Timers and the Bernoulli draws are host
+            # subsystems, so a device backend downloads the spike mask.
             spikes_h = spikes if on_host else None
-            if learning:
-                if fast_rule is None:
-                    if spikes_h is None:
-                        spikes_h = ops.to_host(spikes)
-                    rule.step(
-                        net.synapses, timers, raster[i], spikes_h, t_ms, rng_learning
-                    )
-                    if not on_host:
-                        # The reference path may touch the whole matrix;
-                        # resync the device copy wholesale.
-                        g = ops.to_device(g_host)
-                elif n_fired:
-                    if spikes_h is None:
-                        spikes_h = ops.to_host(spikes)
-                    if fast_rule == "stochastic":
-                        stochastic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
-                        )
-                    else:
-                        deterministic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
-                        )
-                    if not on_host:
-                        cols = np.flatnonzero(spikes_h)
-                        g[:, cols] = ops.to_device(g_host[:, cols])
+            if learning and (n_fired or full_matrix):
+                if spikes_h is None:
+                    spikes_h = ops.to_host(spikes)
+                storage.learn(raster[i], spikes_h, t_ms, rng_learning)
             if n_fired:
                 if spikes_h is None:
                     spikes_h = ops.to_host(spikes)
@@ -353,6 +326,7 @@ class FusedPresentation:
             total_spikes += n_fired
             t_ms += dt_ms
 
+        storage.end()
         if not on_host:
             # Download the stepped state into the live host arrays so every
             # boundary consumer (checkpoint, sentinel, normaliser, logs)

@@ -23,11 +23,15 @@ reference evaluation loop under pinned seeds — fast evaluation is a free
 replacement, not a statistical approximation.  (The ``batched`` engine
 overrides ``collect_responses`` wholesale: it draws from a batch-shaped
 stream and is statistically, not bit-, equivalent.)
+
+Precision variants are subclasses that only swap conductance storage:
+``qfused`` is :class:`FusedEngine` on Q-format codes, ``qbatched`` is
+:class:`BatchedEngine` on codes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, cast
 
 import numpy as np
 
@@ -38,6 +42,7 @@ if TYPE_CHECKING:
     from repro.engine.event_train import EventTrainStats
     from repro.engine.profiler import StepProfiler
     from repro.engine.registry import EngineSpec
+    from repro.engine.storage import CodeStorage, ConductanceStorage
     from repro.network.wta import WTANetwork
     from repro.resilience.sentinel import NumericHealthSentinel
 
@@ -175,8 +180,8 @@ class ReferenceEngine(PresentationEngine):
 class FusedEngine(PresentationEngine):
     """The dense fused kernel (:class:`~repro.engine.fused.FusedPresentation`).
 
-    Bit-identical to the reference engine for both training and evaluation
-    under pinned seeds.
+    Float conductance storage.  Bit-identical to the reference engine for
+    both training and evaluation under pinned seeds.
     """
 
     name = "fused"
@@ -185,7 +190,11 @@ class FusedEngine(PresentationEngine):
         super().__init__(network)
         from repro.engine.fused import FusedPresentation
 
-        self._kernel = FusedPresentation(network)
+        self._kernel = FusedPresentation(network, self._storage(network))
+
+    def _storage(self, network: WTANetwork) -> Optional[ConductanceStorage]:
+        """The kernel's conductance storage; ``None`` keeps float storage."""
+        return None
 
     def run(
         self,
@@ -237,42 +246,29 @@ class EventEngine(PresentationEngine):
         )
 
 
-class QFusedEngine(PresentationEngine):
-    """The integer-native kernel (:class:`~repro.engine.qfused.QFusedPresentation`).
+class QFusedEngine(FusedEngine):
+    """The fused kernel with integer code storage (``qfused``).
 
-    Conductances live as uint8/uint16 Q-format codes for the whole
+    :class:`FusedEngine` with :class:`~repro.engine.storage.CodeStorage`:
+    conductances live as uint8/uint16 Q-format codes for the whole
     presentation (requires a fixed-point quantization config of at most 16
     total bits).  Bit-identical to the fused path under truncate/nearest
     rounding and in evaluation; under stochastic rounding the eq.-8 draws
     move to the dedicated ``qrounding`` stream, so the declared tier is
-    spike-equivalence, verified against the kernel's float shadow twin.
+    spike-equivalence, verified against the storage's float shadow twin.
     """
 
     name = "qfused"
 
-    def __init__(self, network: WTANetwork) -> None:
-        super().__init__(network)
-        from repro.engine.qfused import QFusedPresentation
+    def _storage(self, network: WTANetwork) -> CodeStorage:
+        from repro.engine.storage import CodeStorage
 
-        self._kernel = QFusedPresentation(network)
+        return CodeStorage(network)
 
     @property
     def codes(self) -> np.ndarray:
-        """The live Q-format code matrix of the underlying kernel."""
-        return self._kernel.codes
-
-    def run(
-        self,
-        image: np.ndarray,
-        t_ms: float,
-        n_steps: int,
-        dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
-        out_counts: Optional[np.ndarray] = None,
-    ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
+        """The live Q-format code matrix of the kernel's storage."""
+        return cast("CodeStorage", self._kernel.storage).codes
 
 
 class BatchedEngine(PresentationEngine):

@@ -2,12 +2,12 @@
 
 Training and evaluation both boil down to *presenting images to the
 network*; what differs is the execution strategy — the per-step reference
-loop, the fused dense kernel, the event-accelerated kernel, the
-image-parallel batched engine, and whatever comes next (CuPy, sharded,
-remote).  Before this module each call site (trainer, evaluator,
-experiment, CLI, bench) selected a strategy with its own ``fast=`` /
-``batched=`` booleans; the registry replaces all of that with resolution by
-**name** plus a declared capability record per engine:
+loop, the fused dense kernel (on float or Q-format code storage), the
+event-accelerated kernel, the image-parallel batched engine, and whatever
+comes next (CuPy, sharded, remote).  Before this module each call site
+(trainer, evaluator, experiment, CLI, bench) selected a strategy with its
+own ``fast=`` / ``batched=`` booleans; the registry replaces all of that
+with resolution by **name** plus a declared capability record per engine:
 
 - ``supports_learning`` — can the engine drive plasticity (training)?
 - ``supports_batch`` — does it advance many images in lock-step?
@@ -40,6 +40,14 @@ from importlib import import_module
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+
+#: Default absolute tolerance on float state (conductances, thresholds) at
+#: the ``SPIKE_EQUIVALENT`` tier, for every engine declaring it.  In
+#: practice conductances match exactly when the spike trains match —
+#: weight updates read spike timers and the learning/rounding streams,
+#: never the analytically-advanced membrane state — so the tolerance only
+#: guards the comparison against future value-equivalent refactors.
+CONDUCTANCE_ATOL = 1e-9
 
 
 class Equivalence(str, enum.Enum):
@@ -189,15 +197,13 @@ def check_equivalence(
     ``SPIKE_EQUIVALENT`` the integer artefacts (spike counts, response
     matrices) must still match exactly — they are functions of the spike
     trains alone — while float state may deviate up to *conductance_atol*
-    (default: :data:`repro.engine.event_train.CONDUCTANCE_ATOL`).
+    (default: :data:`CONDUCTANCE_ATOL`).
     """
     import numpy as np
 
     if spec.equivalence is Equivalence.STATISTICAL:
         return []
     if conductance_atol is None:
-        from repro.engine.event_train import CONDUCTANCE_ATOL
-
         conductance_atol = CONDUCTANCE_ATOL
 
     failures: List[str] = []

@@ -20,7 +20,7 @@ from repro.backend.ops import Ops
 from repro.errors import SimulationError
 
 #: Stream names handed out in a fixed order so seeding is reproducible.
-#: ``qrounding`` (the integer ``qfused`` tier's dedicated eq.-8 rounding
+#: ``qrounding`` (the ``qfused`` code storage's dedicated eq.-8 rounding
 #: stream) is appended last: ``SeedSequence.spawn`` children are
 #: prefix-stable, so the original six streams draw exactly the sequences
 #: they always did.
@@ -52,7 +52,6 @@ STREAM_CONSUMERS = {
         "engine/event_train.py",
         "engine/fused.py",
         "engine/profiler.py",
-        "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
     ),
@@ -60,13 +59,12 @@ STREAM_CONSUMERS = {
         "engine/event_train.py",
         "engine/fused.py",
         "engine/profiler.py",
-        "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
     ),
     "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),
     "misc": ("cli.py", "pipeline/evaluator.py", "pipeline/experiment.py"),
-    "qrounding": ("engine/qfused.py",),
+    "qrounding": ("engine/storage.py",),
     "batched_eval": ("engine/batched.py", "engine/presentation.py"),
 }
 

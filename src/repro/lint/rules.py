@@ -34,7 +34,7 @@ R1_EXEMPT_SUFFIXES: Tuple[str, ...] = ("engine/rng.py",)
 R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 
 #: Paths where R2 additionally polices silent float64 *upcasts*: the
-#: integer-native kernels (the code-storage training engine, and the
+#: integer-native kernels (the qfused code storage, and the
 #: batched engine whose qbatched path carries frozen codes) plus the whole
 #: quantization layer, where a dtype-less ``np.asarray``/``np.array`` or an
 #: ``astype(float)`` quietly promotes uint8/uint16 code arrays to floats.
@@ -42,7 +42,7 @@ R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 #: dtype=np.float64)``, as qbatched does to keep its GEMM on BLAS), so every
 #: widening stays a visible, deliberate choice.
 R2_INT_NATIVE_SUFFIXES: Tuple[str, ...] = (
-    "engine/qfused.py",
+    "engine/storage.py",
     "engine/batched.py",
 )
 R2_INT_NATIVE_DIRS: FrozenSet[str] = frozenset({"quantization"})
@@ -343,7 +343,7 @@ def _builtin_cast_tag(expr: ast.expr) -> Optional[str]:
 class R2DtypeDiscipline(_RuleVisitor):
     """Allocations in hot paths must pin a dtype; no 32/64-bit mixing.
 
-    With *int_native* set (the qfused kernel and the quantization layer),
+    With *int_native* set (the code storage and the quantization layer),
     additionally flags silent float64 upcasts: dtype-less
     ``np.asarray``/``np.array`` conversions and ``astype(float)`` /
     ``astype(int)`` casts, which widen integer code arrays to a
@@ -572,7 +572,7 @@ class R5ExceptionHygiene(_RuleVisitor):
 R6_BACKEND_GENERIC_SUFFIXES: Tuple[str, ...] = (
     "engine/fused.py",
     "engine/event_train.py",
-    "engine/qfused.py",
+    "engine/storage.py",
     "engine/batched.py",
     "engine/plasticity.py",
     "quantization/codec.py",

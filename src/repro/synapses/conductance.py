@@ -155,7 +155,7 @@ class ConductanceMatrix(SynapseGroup):
         """
         if not isinstance(cols, np.ndarray):
             # List/tuple input carries no residency to strip.
-            cols = np.asarray(cols)  # lint-ok: R8
+            cols = np.asarray(cols)
         delta_cols = coerce_float64(delta_cols)
         expected = (self.n_pre, cols.shape[0]) if cols.ndim else (self.n_pre,)
         if delta_cols.shape != expected:

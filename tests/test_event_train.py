@@ -23,7 +23,8 @@ import pytest
 from repro.config.parameters import RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.encoding.events import sparsify
-from repro.engine.event_train import CONDUCTANCE_ATOL, EventPresentation
+from repro.engine.event_train import EventPresentation
+from repro.engine.registry import CONDUCTANCE_ATOL
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.engine.event_train as event_train_module
-import repro.engine.fused as fused_module
+import repro.engine.storage as storage_module
 from repro.config.parameters import RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.datasets import load_dataset
@@ -28,7 +27,7 @@ from repro.encoding.poisson import PoissonEncoder
 from repro.engine.event_train import EventPresentation
 from repro.engine.fused import FusedPresentation
 from repro.engine.registry import create_training_engine
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
 from repro.quantization.qformat import parse_qformat
@@ -176,7 +175,7 @@ class TestPaperWidthBitIdentity:
             widths.append(rows.size)
             return gather_drive(g, rows, amplitude, out)
 
-        monkeypatch.setattr(fused_module, "gather_drive", recording)
+        monkeypatch.setattr(storage_module, "gather_drive", recording)
         nets = {}
         kernels = {}
         for name in ("reference", "fused"):
@@ -212,8 +211,7 @@ class TestPaperWidthBitIdentity:
         cfg = get_preset("high_frequency", n_neurons=40, seed=3)
         image = load_dataset("mnist", n_train=1, n_test=1, size=28, seed=5).train_images[0]
         drives = {}
-        for module, kernel_cls in ((fused_module, FusedPresentation),
-                                   (event_train_module, EventPresentation)):
+        for kernel_cls in (FusedPresentation, EventPresentation):
             record = drives.setdefault(kernel_cls.__name__, [])
 
             def recording(g, rows, amplitude, out=None, record=record):
@@ -221,7 +219,7 @@ class TestPaperWidthBitIdentity:
                 record.append((np.asarray(rows).tobytes(), result.tobytes()))
                 return result
 
-            monkeypatch.setattr(module, "gather_drive", recording)
+            monkeypatch.setattr(storage_module, "gather_drive", recording)
             net = WTANetwork(cfg, n_pixels=image.size)
             net.freeze()
             kernel_cls(net).run(image, 0.0, 100, cfg.simulation.dt_ms)

@@ -115,8 +115,9 @@ def test_r2_int_native_flags_silent_upcasts():
 
 
 def test_r2_int_native_applies_to_the_qfused_kernel():
+    """The qfused kernel's integer code path lives in the code storage."""
     source = "import numpy as np\n\n\ndef f(codes):\n    return np.asarray(codes)\n"
-    findings = lint_source(source, "src/repro/engine/qfused.py")
+    findings = lint_source(source, "src/repro/engine/storage.py")
     assert [f.rule for f in findings if f.rule == "R2"] == ["R2"]
     # The same conversion outside the integer-native scope draws no R2
     # finding (it still trips R6's backend discipline in any kernel).
@@ -125,11 +126,12 @@ def test_r2_int_native_applies_to_the_qfused_kernel():
 
 
 def test_r2_int_native_applies_to_the_qfused_and_qbatched_kernels():
-    """The code-storage training engine and the batched engine (whose
-    qbatched path carries frozen codes) sit in the same int-native R2
-    scope: the full bad-upcast fixture must fire at both paths."""
+    """The conductance storage of the fused loop (whose code path is the
+    qfused engine) and the batched engine (whose qbatched path carries
+    frozen codes) sit in the same int-native R2 scope: the full bad-upcast
+    fixture must fire at both paths."""
     source = FIXTURES.joinpath("quantization/bad_upcast.py").read_text()
-    for path in ("src/repro/engine/qfused.py", "src/repro/engine/batched.py"):
+    for path in ("src/repro/engine/storage.py", "src/repro/engine/batched.py"):
         findings = [f for f in lint_source(source, path) if f.rule == "R2"]
         assert {f.rule for f in findings} == {"R2"}, path
         assert len(findings) == 4, path

@@ -9,15 +9,17 @@ The tiers pinned here (mirrored by the ``bench_training --check`` gate):
   the float path (one draw per changed synapse from the dedicated
   ``qrounding`` stream instead of a full-matrix draw per update), so the
   oracle is the float *shadow twin*: the same kernel with
-  ``storage="float"``.  Codes, conductances and spikes match it bit for
-  bit;
+  ``CodeStorage(net, dtype=np.float64)``.  Codes, conductances and spikes
+  match it bit for bit;
 - **evaluation** — plasticity frozen, no rounding at all: bit-identical
   response matrices vs the fused engine;
 - **resumability** — kill-and-resume through v2 checkpoints (which store
   the uint8/uint16 codes directly) reproduces the uninterrupted run.
 
 The twin oracle runs over Q0.8/Q1.7 (uint8) and Q8.8 (uint16) under every
-rounding mode.
+rounding mode.  Float and code storage share one loop, so its kernel
+branches (synapse model, subtractive/hard inhibition, current filter,
+single winner) are pinned for all three contracts over their full grid.
 """
 
 from dataclasses import replace
@@ -32,7 +34,9 @@ from repro.config.parameters import (
     RoundingMode,
     STDPKind,
 )
-from repro.engine.qfused import QFusedPresentation
+from repro.engine.fused import FusedPresentation
+from repro.engine.registry import check_equivalence, get_engine_spec
+from repro.engine.storage import CodeStorage
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
@@ -55,9 +59,17 @@ def _train(config, images, engine):
 def _train_twin(config, images):
     net = WTANetwork(config, images[0].size)
     log = UnsupervisedTrainer(net).train(
-        images, engine=QFusedPresentation(net, storage="float")
+        images, engine=FusedPresentation(net, CodeStorage(net, dtype=np.float64))
     )
     return net, log
+
+
+def _artefacts(net, log):
+    return {
+        "conductances": net.conductances,
+        "thetas": net.neurons.theta,
+        "spikes_per_image": log.spikes_per_image,
+    }
 
 
 def _stream_states(net):
@@ -157,14 +169,58 @@ class TestStochasticShadowTwin:
         assert net.rngs.qrounding.bit_generator.state != before
 
 
+class TestKernelBranchGrid:
+    @pytest.mark.parametrize("synapse_model", ["current", "conductance"])
+    @pytest.mark.parametrize("inhibition_strength", [0.0, 8.0])
+    @pytest.mark.parametrize("current_tau_ms", [0.0, 20.0])
+    @pytest.mark.parametrize("single_winner", [True, False])
+    def test_storages_keep_every_contract(
+        self, tiny_config, small_images, synapse_model, inhibition_strength,
+        current_tau_ms, single_winner,
+    ):
+        """fused == reference (float), qfused == fused (Q1.7 nearest) and
+        qfused == its float twin at zero tolerance (Q1.7 stochastic)."""
+        wta = tiny_config.wta
+        # Unfiltered, the current carries one step of input instead of
+        # ~tau/dt steps: scale the per-spike drive by the default filter's
+        # gain so the tiny network still fires.
+        gain = 1.0 if current_tau_ms else wta.current_tau_ms
+        config = replace(tiny_config, wta=replace(
+            wta,
+            synapse_model=synapse_model,
+            inhibition_strength=inhibition_strength,
+            current_tau_ms=current_tau_ms,
+            single_winner=single_winner,
+            input_spike_amplitude=wta.input_spike_amplitude * gain,
+        ))
+        fused_spec = get_engine_spec("fused")
+        ref = _artefacts(*_train(config, small_images, "reference"))
+        fused = _artefacts(*_train(config, small_images, "fused"))
+        assert sum(fused["spikes_per_image"]) > 0
+        assert check_equivalence(fused_spec, ref, fused) == []
+
+        nearest = _quantized(config, rounding=RoundingMode.NEAREST)
+        q_nearest = _artefacts(*_train(nearest, small_images, "qfused"))
+        fused_nearest = _artefacts(*_train(nearest, small_images, "fused"))
+        assert check_equivalence(fused_spec, fused_nearest, q_nearest) == []
+
+        stochastic = _quantized(config)
+        q_stochastic = _artefacts(*_train(stochastic, small_images, "qfused"))
+        twin = _artefacts(*_train_twin(stochastic, small_images))
+        assert sum(q_stochastic["spikes_per_image"]) > 0
+        assert check_equivalence(
+            get_engine_spec("qfused"), twin, q_stochastic, conductance_atol=0.0
+        ) == []
+
+
 class TestCodesStorage:
     def test_code_matrix_dtype_and_width(self, tiny_config, small_images):
         for fmt, dtype in (("Q1.7", np.uint8), ("Q1.15", np.uint16)):
             net = WTANetwork(_quantized(tiny_config, fmt=fmt), small_images[0].size)
-            kernel = QFusedPresentation(net)
-            assert kernel.codes.dtype == np.dtype(dtype)
-            assert kernel.codes.dtype.itemsize * 8 <= 16
-            assert kernel.codes.shape == net.synapses.g.shape
+            storage = CodeStorage(net)
+            assert storage.codes.dtype == np.dtype(dtype)
+            assert storage.codes.dtype.itemsize * 8 <= 16
+            assert storage.codes.shape == net.synapses.g.shape
 
     def test_float_view_stays_on_grid_after_training(
         self, tiny_config, small_images
@@ -177,9 +233,11 @@ class TestCodesStorage:
     def test_decoded_codes_equal_the_float_view(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size)
-        kernel = QFusedPresentation(net)
-        UnsupervisedTrainer(net).train(small_images, engine=kernel)
-        decoded = kernel.codec.decode(asnumpy(kernel.codes))
+        storage = CodeStorage(net)
+        UnsupervisedTrainer(net).train(
+            small_images, engine=FusedPresentation(net, storage)
+        )
+        decoded = storage.codec.decode(asnumpy(storage.codes))
         assert np.array_equal(decoded, net.conductances)
 
 
@@ -231,7 +289,7 @@ class TestValidation:
     def test_floating_point_config_rejected(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, small_images[0].size)  # fmt=None
         with pytest.raises(ConfigurationError, match="Q-format"):
-            QFusedPresentation(net)
+            CodeStorage(net)
 
     def test_format_wider_than_sixteen_bits_rejected(
         self, tiny_config, small_images
@@ -239,24 +297,24 @@ class TestValidation:
         config = _quantized(tiny_config, fmt="Q2.16", rounding=RoundingMode.NEAREST)
         net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="16 bits or fewer"):
-            QFusedPresentation(net)
+            CodeStorage(net)
 
     def test_pair_ltd_rejected(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size, ltd_mode=LTDMode.PAIR)
         with pytest.raises(ConfigurationError, match="pair-LTD"):
-            QFusedPresentation(net)
+            CodeStorage(net)
 
     def test_unknown_storage_mode_rejected(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="storage"):
-            QFusedPresentation(net, storage="fp8")
+            CodeStorage(net, dtype=np.float32)
 
     def test_rejects_negative_steps(self, tiny_config, small_images):
         net = WTANetwork(_quantized(tiny_config), small_images[0].size)
         with pytest.raises(SimulationError, match="n_steps"):
-            QFusedPresentation(net).run(small_images[0], 0.0, -1, 1.0)
+            FusedPresentation(net, CodeStorage(net)).run(small_images[0], 0.0, -1, 1.0)
 
     def test_config_requires_fixed_point_for_qfused_engine(self, tiny_config):
         with pytest.raises(ConfigurationError, match="fixed-point"):
