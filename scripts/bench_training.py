@@ -411,13 +411,15 @@ def bench_qbatched(args, train_images, test_images) -> dict:
 
     Trains a quantized network with the qfused engine, freezes it, then
     collects batched responses twice through the registry engines —
-    ``"batched"`` (float64 matmul) and ``"qbatched"`` (on-grid codes held
-    as float64, one exact BLAS GEMM per step scaled once).  Both draw from
-    the restarted salted ``batched_eval`` stream, so the response matrices
-    — and hence the argmax labels — must be **bit-identical** (every
-    partial sum is an integer far below ``2^53``); violations block under
-    ``--check``.  The speedup (``batched_seconds / qbatched_seconds``, ~1x
-    since both run the same GEMM) feeds the warning-tier speed floors.
+    ``"batched"`` (full float64 matmul) and ``"qbatched"`` (on-grid codes
+    held as float64, one BLAS GEMM per step over only the code rows whose
+    input spikes, scaled once).  Both draw from the restarted salted
+    ``batched_eval`` stream, so the response matrices — and hence the
+    argmax labels — must be **bit-identical** (every partial sum is an
+    integer far below ``2^53``, exact whatever rows are left out);
+    violations block under ``--check``.  The speedup
+    (``batched_seconds / qbatched_seconds``) feeds the warning-tier speed
+    floors.
     """
     from repro.pipeline.evaluator import Evaluator
     from repro.pipeline.trainer import UnsupervisedTrainer

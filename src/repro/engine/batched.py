@@ -21,9 +21,12 @@ suite pins the agreement.
 Array operations route through the :class:`~repro.backend.ops.Ops` layer,
 so selecting the CuPy backend moves the whole lock-step batch onto the GPU
 without code changes; results always come back as host numpy arrays.
-Randomness is **host-drawn and device-uploaded** (see
-:class:`~repro.engine.rng.DeviceRng`), so the response matrices are
-bit-identical across backends for the same seed.
+Randomness is **host-drawn**: the uniforms for a block of steps come from
+one ``Generator.random`` call, are compared with the spike probabilities on
+the host, and the boolean raster goes up in one upload per block, so the
+response matrices are bit-identical across backends for the same seed.
+The lock-step state lives in buffers allocated once per call and updated
+in place, so a step allocates and uploads nothing.
 
 The learned state (conductances and thresholds) is re-read from the network
 at :meth:`BatchedInference.collect_responses` time.  An earlier revision
@@ -35,21 +38,30 @@ always see the current weights.
 With ``storage="int"`` (the ``qbatched`` engine tier) the frozen
 conductances are encoded once per call into their on-grid Q-format codes
 (:class:`~repro.quantization.codec.QCodec`), held as integer-valued
-float64, and each step's drive is one exact BLAS GEMM over those codes
-scaled once by ``resolution * amplitude`` (:meth:`QCodec.batched_drive`).
-Code sums stay far below ``2^53`` and the scale factor is a power-of-two
-multiple of the amplitude, so the response matrices — and hence the
-predicted labels — are **bit-identical** to the float path under the same
-draws.  The integer path requires a fixed-point quantization config.
+float64, and each step's drive is a BLAS GEMM over only the code rows whose
+input spikes in at least one image, scaled once by
+``resolution * amplitude`` (:meth:`QCodec.batched_drive`).  Code sums are
+integers far below ``2^53``, exact in any order, so leaving out the silent
+rows changes no bit; the scale factor is a power-of-two multiple of the
+amplitude, so the response matrices — and hence the predicted labels — are
+**bit-identical** to the float path under the same draws.  The integer
+path requires a fixed-point quantization config.
+
+The float path keeps the full ``spikes @ g`` GEMM: float sums of
+non-integer conductances depend on their order, and compressing the rows
+changes how BLAS blocks the reduction, which moves the last bit of the
+drive.  For the same reason ``np.add.reduceat`` must not stand in for a
+float drive — it does not sum left to right.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from repro.backend import asnumpy, backend_ops
+from repro.backend.ops import Ops
 from repro.config.parameters import ExperimentConfig
 from repro.encoding.rate import intensity_to_frequency
 from repro.errors import ConfigurationError, SimulationError
@@ -59,6 +71,11 @@ from repro.quantization.codec import QCodec, require_codec
 #: Conductance storage modes: ``"float"`` is the original float64 matmul
 #: path; ``"int"`` drives the matmul with Q-format codes (``qbatched``).
 STORAGE_MODES = ("float", "int")
+
+#: Host bytes of float64 uniforms drawn per block of lock-step steps.  One
+#: block is one ``Generator.random`` call and one boolean upload; the cap
+#: keeps the draw buffer small however many images a call carries.
+_DRAW_BLOCK_BYTES = 1 << 21
 
 
 class BatchedInference:
@@ -90,7 +107,8 @@ class BatchedInference:
             batch = batch[None]
         if batch.ndim != 3:
             raise SimulationError(f"images must be 2-D or 3-D, got shape {batch.shape}")
-        flat = batch.reshape(batch.shape[0], -1)
+        # Explicit width: ``-1`` cannot be inferred for an empty batch.
+        flat = batch.reshape(batch.shape[0], batch.shape[1] * batch.shape[2])
         if flat.shape[1] != self.n_pixels:
             raise SimulationError(
                 f"images have {flat.shape[1]} pixels, network expects {self.n_pixels}"
@@ -105,9 +123,6 @@ class BatchedInference:
         # host-side on every backend and uploaded through the explicit seam,
         # so responses are bit-identical across backends.
         rng = rng if rng is not None else self.network.rngs.batched_eval()
-
-        def draw(shape: Tuple[int, ...]) -> np.ndarray:
-            return ops.to_device(rng.random(shape))
 
         dt = cfg.simulation.dt_ms
         duration = t_present_ms if t_present_ms is not None else cfg.simulation.t_learn_ms
@@ -128,73 +143,131 @@ class BatchedInference:
             inj_scale = codec.resolution * self.amplitude
         else:
             g = xp.asarray(self.network.conductances, dtype=xp.float64)
+            drive = xp.empty((n_images, n_neurons), dtype=xp.float64)
         theta = xp.asarray(self.network.neurons.theta, dtype=xp.float64)
 
-        spike_prob = xp.asarray(
-            intensity_to_frequency(flat, cfg.encoding) * (dt / 1000.0),
-            dtype=xp.float64,
-        )
+        # Host-side: the Bernoulli compare runs where the draws are made.
+        spike_prob = intensity_to_frequency(flat, cfg.encoding) * (dt / 1000.0)
 
-        v = xp.full((n_images, n_neurons), lif.v_init, dtype=xp.float64)
-        current = xp.zeros((n_images, n_neurons), dtype=xp.float64)
-        refractory = xp.zeros((n_images, n_neurons), dtype=xp.float64)
-        inhibited_left = xp.zeros((n_images, n_neurons), dtype=xp.float64)
-        counts = xp.zeros((n_images, n_neurons), dtype=xp.int64)
+        # Lock-step state and per-step scratch, allocated once per call and
+        # updated in place: every step performs the same IEEE operations in
+        # the same order as the rebinding formulation, without temporaries.
+        shape = (n_images, n_neurons)
+        v = xp.full(shape, lif.v_init, dtype=xp.float64)
+        current = xp.zeros(shape, dtype=xp.float64)
+        refractory = xp.zeros(shape, dtype=xp.float64)
+        inhibited_left = xp.zeros(shape, dtype=xp.float64)
+        counts = xp.zeros(shape, dtype=xp.int64)
+        work = xp.empty(shape, dtype=xp.float64)
+        effective = xp.empty(shape, dtype=xp.float64)
+        inhibited = xp.empty(shape, dtype=bool)
+        blocked = xp.empty(shape, dtype=bool)
+        crossers = xp.empty(shape, dtype=bool)
+        if wta.single_winner:
+            masked = xp.empty(shape, dtype=xp.float64)
+            winner_idx = xp.empty(n_images, dtype=xp.intp)
+            any_cross = xp.empty(n_images, dtype=bool)
+            winners = xp.empty(shape, dtype=bool)
+            row_index = xp.arange(n_images)
+        else:
+            winners = crossers
+        if wta.t_inh_ms > 0.0:
+            fired_rows = xp.empty(n_images, dtype=bool)
+            losers = xp.empty(shape, dtype=bool)
         threshold = lif.v_threshold + theta[None, :]
         decay = float(np.exp(-dt / wta.current_tau_ms)) if wta.current_tau_ms > 0 else 0.0
-        row_index = xp.arange(n_images)
+        reversal_span = wta.e_excitatory - lif.v_reset
 
-        for _ in range(n_steps):
-            input_spikes = draw(spike_prob.shape) < spike_prob
+        for input_spikes in _input_spike_steps(rng, spike_prob, n_steps, ops):
             if codec is not None:
                 injected = codec.batched_drive(input_spikes, g_codes, inj_scale)
             else:
-                injected = (input_spikes @ g) * self.amplitude
+                injected = xp.matmul(input_spikes, g, out=drive)
+                xp.multiply(injected, self.amplitude, out=injected)
             if wta.synapse_model == "conductance":
-                scale = (wta.e_excitatory - v) / (wta.e_excitatory - lif.v_reset)
-                injected = injected * xp.maximum(scale, 0.0)
+                xp.subtract(wta.e_excitatory, v, out=work)
+                xp.divide(work, reversal_span, out=work)
+                xp.maximum(work, 0.0, out=work)
+                xp.multiply(injected, work, out=injected)
             if wta.current_tau_ms > 0:
-                current = current * decay + injected
+                xp.multiply(current, decay, out=current)
+                xp.add(current, injected, out=current)
             else:
-                current = injected
+                xp.copyto(current, injected)
 
-            inhibited = inhibited_left > 0.0
+            xp.greater(inhibited_left, 0.0, out=inhibited)
+            xp.greater(refractory, 0.0, out=blocked)
+            if wta.inhibition_strength <= 0.0:
+                xp.logical_or(blocked, inhibited, out=blocked)
+            xp.copyto(effective, current)
+            xp.copyto(effective, 0.0, where=blocked)
             if wta.inhibition_strength > 0.0:
-                blocked = refractory > 0.0
-                effective = xp.where(blocked, 0.0, current)
-                effective = effective - xp.where(inhibited, wta.inhibition_strength, 0.0)
-            else:
-                blocked = (refractory > 0.0) | inhibited
-                effective = xp.where(blocked, 0.0, current)
+                # x - 0.0 == x for every float, so subtracting only where
+                # inhibited equals subtracting where(inhibited, s, 0.0).
+                xp.subtract(
+                    effective, wta.inhibition_strength, out=effective, where=inhibited
+                )
 
-            v = v + (lif.a + lif.b * v + lif.c * effective) * dt
-            v = xp.where(blocked, lif.v_reset, v)
+            # v += (a + b * v + c * effective) * dt
+            xp.multiply(v, lif.b, out=work)
+            xp.add(work, lif.a, out=work)
+            xp.multiply(effective, lif.c, out=effective)
+            xp.add(work, effective, out=work)
+            xp.multiply(work, dt, out=work)
+            xp.add(v, work, out=v)
+            xp.copyto(v, lif.v_reset, where=blocked)
             xp.maximum(v, lif.v_reset, out=v)
 
-            crossers = (v >= threshold) & ~blocked
-            v = xp.where(crossers, lif.v_reset, v)
-            refractory = xp.where(crossers, lif.refractory_ms, refractory)
+            xp.greater_equal(v, threshold, out=crossers)
+            xp.copyto(crossers, False, where=blocked)
+            xp.copyto(v, lif.v_reset, where=crossers)
+            xp.copyto(refractory, lif.refractory_ms, where=crossers)
 
             if wta.single_winner:
-                masked = xp.where(crossers, current, -xp.inf)
-                winner_idx = xp.argmax(masked, axis=1)
-                any_cross = crossers.any(axis=1)
-                winners = xp.zeros_like(crossers)
+                masked.fill(-np.inf)
+                xp.copyto(masked, current, where=crossers)
+                xp.argmax(masked, axis=1, out=winner_idx)
+                xp.any(crossers, axis=1, out=any_cross)
+                winners.fill(False)
                 winners[row_index, winner_idx] = True
                 winners &= any_cross[:, None]
-            else:
-                winners = crossers
 
             counts += winners
 
             if wta.t_inh_ms > 0.0:
-                fired_rows = winners.any(axis=1)
-                losers = ~winners & fired_rows[:, None]
-                inhibited_left = xp.maximum(
-                    inhibited_left, xp.where(losers, wta.t_inh_ms, 0.0)
-                )
+                # inhibited_left is never below +0.0, so max(x, 0.0) == x
+                # off the losers: raising it only where losing is the same.
+                xp.any(winners, axis=1, out=fired_rows)
+                xp.logical_not(winners, out=losers)
+                xp.logical_and(losers, fired_rows[:, None], out=losers)
+                xp.maximum(inhibited_left, wta.t_inh_ms, out=inhibited_left, where=losers)
 
-            refractory = xp.maximum(refractory - dt, 0.0)
-            inhibited_left = xp.maximum(inhibited_left - dt, 0.0)
+            xp.subtract(refractory, dt, out=refractory)
+            xp.maximum(refractory, 0.0, out=refractory)
+            xp.subtract(inhibited_left, dt, out=inhibited_left)
+            xp.maximum(inhibited_left, 0.0, out=inhibited_left)
 
         return asnumpy(counts)
+
+
+def _input_spike_steps(
+    rng: np.random.Generator, spike_prob: np.ndarray, n_steps: int, ops: Ops
+) -> Iterator[Any]:
+    """The *n_steps* per-step boolean input rasters, as device arrays.
+
+    Each block of steps is one host ``rng.random`` call, compared with the
+    host *spike_prob* and uploaded as one boolean array.
+    ``Generator.random`` fills in C order, so row ``i`` of a block holds
+    exactly the values a per-step draw would have produced.  The block
+    covers as many steps as fit in :data:`_DRAW_BLOCK_BYTES` of float64
+    draws, and at least one.
+    """
+    step_bytes = spike_prob.size * np.dtype(np.float64).itemsize
+    block_steps = max(1, min(n_steps, _DRAW_BLOCK_BYTES // max(step_bytes, 1)))
+    raster = np.empty((block_steps, *spike_prob.shape), dtype=bool)  # host raster  # lint-ok: R6
+    for start in range(0, n_steps, block_steps):
+        block = raster[: min(block_steps, n_steps - start)]
+        np.less(rng.random(block.shape), spike_prob, out=block)
+        device_block = ops.to_device(block)
+        for step in range(block.shape[0]):
+            yield device_block[step]

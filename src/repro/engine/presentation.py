@@ -314,9 +314,11 @@ class QBatchedEngine(BatchedEngine):
 
     :class:`BatchedEngine` with code storage: the frozen weights are
     encoded once per call into their on-grid Q-format codes (held as
-    integer-valued float64) and each step's drive is one exact BLAS GEMM
-    scaled once by ``resolution * amplitude``.  Responses — and hence
-    predicted labels — are **bit-identical** to the float ``batched``
+    integer-valued float64) and each step's drive is a BLAS GEMM over only
+    the code rows whose input spikes in some image — exact, since integer
+    code sums far below ``2^53`` do not depend on order or on the rows
+    left out — scaled once by ``resolution * amplitude``.  Responses — and
+    hence predicted labels — are **bit-identical** to the float ``batched``
     engine under the same ``batched_eval`` draws (both draw from the
     restarted salted stream, so the pairing is automatic); versus the
     *sequential* engines the tier remains statistical, exactly like

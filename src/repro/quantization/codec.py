@@ -163,19 +163,29 @@ class QCodec:
     def batched_drive(
         self, spikes: np.ndarray, codes: np.ndarray, scale: float
     ) -> np.ndarray:
-        """Image-parallel drive: ``(spikes @ codes) * scale`` as one BLAS GEMM.
+        """Image-parallel drive: ``(spikes @ codes) * scale`` over active rows.
 
         *spikes* is a boolean ``(n_images, n_pre)`` raster slice and *codes*
         the frozen ``(n_pre, n_neurons)`` code matrix held as integer-valued
         float64 (``encode(g, dtype=np.float64)``), so the matmul runs on the
-        float BLAS path.  Every partial sum is an integer of at most
-        ``n_pre * max_code`` (< ``2^26`` at paper geometry), far below
-        ``2^53``, so the accumulation is exact; the single *scale* multiply
-        (``resolution * amplitude``) is the only rounding, of the same real
-        product the float path's ``(spikes @ g) * amplitude`` rounds — the
-        result is bit-identical to it.
+        float BLAS path.  Only the input rows that spike in at least one
+        image enter the GEMM (``spikes[:, active] @ codes[active]``); when
+        every row is active the full operands are used without a copy.  A
+        silent row contributes exact zeros, and every partial sum is an
+        integer of at most ``n_pre * max_code`` (< ``2^26`` at paper
+        geometry), far below ``2^53``, so the accumulation is exact in any
+        order and under any BLAS blocking — dropping rows changes nothing.
+        The single *scale* multiply (``resolution * amplitude``) is the only
+        rounding, of the same real product the float path's
+        ``(spikes @ g) * amplitude`` rounds — the result is bit-identical
+        to it.
         """
-        return (spikes.astype(np.float64) @ codes) * scale
+        active = np.flatnonzero(spikes.any(axis=0))
+        if active.size < spikes.shape[1]:
+            spikes = spikes[:, active]
+            codes = codes[active]
+        drive = spikes.astype(np.float64) @ codes
+        return np.multiply(drive, scale, out=drive)
 
     # ------------------------------------------------------------------
     # fused delta rounding (the eq.-8 integer kernel)

@@ -129,6 +129,40 @@ class TestGuardPresentationTransfers:
         assert uploads[0] == uploads[1] <= FUSED_PRESENTATION_UPLOADS
 
 
+class TestGuardBatchedTransfers:
+    @pytest.mark.parametrize("block_steps", [None, 10])
+    def test_lock_step_loop_cost_does_not_scale_with_steps(
+        self, tiny_config, small_images, monkeypatch, block_steps
+    ):
+        """A ``qbatched`` call allocates its state once, whatever its
+        length, and uploads one input raster per block of steps: ten times
+        the steps add no allocation and at most one upload per extra block
+        (the default budget fits both calls in one block; the second case
+        shrinks it to ten steps per block)."""
+        import repro.engine.batched as batched_module
+
+        step_bytes = small_images.size * np.dtype(np.float64).itemsize
+        if block_steps is not None:
+            monkeypatch.setattr(
+                batched_module, "_DRAW_BLOCK_BYTES", block_steps * step_bytes
+            )
+        steps_per_block = batched_module._DRAW_BLOCK_BYTES // step_bytes
+        net = WTANetwork(_config(tiny_config, True), small_images[0].size)
+        net.freeze()
+        dt = tiny_config.simulation.dt_ms
+        stats, blocks = {}, {}
+        for n_steps in (30, 300):
+            with use_backend("guard"):
+                engine = batched_module.BatchedInference(net, storage="int")
+                reset_counters()
+                engine.collect_responses(small_images, t_present_ms=n_steps * dt)
+                stats[n_steps] = transfer_stats()
+            blocks[n_steps] = -(-n_steps // steps_per_block)
+        assert stats[30].violations == stats[300].violations == 0
+        assert stats[300].allocations == stats[30].allocations
+        assert stats[300].h2d - stats[30].h2d <= blocks[300] - blocks[30]
+
+
 class TestGuardEvaluationGrid:
     @pytest.mark.parametrize("engine,quantized", [("batched", False), ("qbatched", True)])
     def test_batched_responses_identical_across_backends(

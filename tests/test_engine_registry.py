@@ -170,6 +170,19 @@ class TestRegistry:
             spec.create(tiny_network)
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize("name", available_engines())
+    def test_every_engine_returns_an_empty_response_matrix(self, tiny_config, name):
+        """Zero images is a valid call for every engine, batched or not."""
+        config = replace(tiny_config, quantization=QuantizationConfig(fmt="Q1.7"))
+        net = WTANetwork(config, n_pixels=16 * 16)
+        responses = create_engine(name, net).collect_responses(
+            np.zeros((0, 16, 16)), 10.0
+        )
+        assert responses.shape == (0, config.wta.n_neurons)
+        assert responses.dtype == np.int64
+
+
 class TestCheckEquivalence:
     def _spec(self, tier):
         return EngineSpec(

@@ -12,8 +12,9 @@ network seeds.
 
 The speed side of the contract is pinned by the hot-loop shape: codes are
 encoded once per call into integer-valued float64, and each step's drive is
-one float BLAS GEMM over them — exact because every partial sum is an
-integer far below ``2^53``.
+one float BLAS GEMM over the code rows whose input spikes — exact because
+every partial sum is an integer far below ``2^53``, whatever rows are left
+out and however BLAS orders the sum.
 """
 
 from dataclasses import replace

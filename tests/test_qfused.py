@@ -19,7 +19,9 @@ The tiers pinned here (mirrored by the ``bench_training --check`` gate):
 The twin oracle runs over Q0.8/Q1.7 (uint8) and Q8.8 (uint16) under every
 rounding mode.  Float and code storage share one loop, so its kernel
 branches (synapse model, subtractive/hard inhibition, current filter,
-single winner) are pinned for all three contracts over their full grid.
+single winner) are pinned for all three contracts over their full grid,
+and so is ``qbatched == batched`` for the lock-step inference loop that
+repeats those branches.
 """
 
 from dataclasses import replace
@@ -35,7 +37,7 @@ from repro.config.parameters import (
     STDPKind,
 )
 from repro.engine.fused import FusedPresentation
-from repro.engine.registry import check_equivalence, get_engine_spec
+from repro.engine.registry import check_equivalence, create_engine, get_engine_spec
 from repro.engine.storage import CodeStorage
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
@@ -169,30 +171,45 @@ class TestStochasticShadowTwin:
         assert net.rngs.qrounding.bit_generator.state != before
 
 
+def _branch_grid(test):
+    """Parametrize *test* over the loop's kernel branches: synapse model x
+    subtractive/hard inhibition x current filter on/off x single winner."""
+    test = pytest.mark.parametrize("single_winner", [True, False])(test)
+    test = pytest.mark.parametrize("current_tau_ms", [0.0, 20.0])(test)
+    test = pytest.mark.parametrize("inhibition_strength", [0.0, 8.0])(test)
+    return pytest.mark.parametrize("synapse_model", ["current", "conductance"])(test)
+
+
+def _branch_config(
+    config, synapse_model, inhibition_strength, current_tau_ms, single_winner
+):
+    wta = config.wta
+    # Unfiltered, the current carries one step of input instead of
+    # ~tau/dt steps: scale the per-spike drive by the default filter's
+    # gain so the tiny network still fires.
+    gain = 1.0 if current_tau_ms else wta.current_tau_ms
+    return replace(config, wta=replace(
+        wta,
+        synapse_model=synapse_model,
+        inhibition_strength=inhibition_strength,
+        current_tau_ms=current_tau_ms,
+        single_winner=single_winner,
+        input_spike_amplitude=wta.input_spike_amplitude * gain,
+    ))
+
+
 class TestKernelBranchGrid:
-    @pytest.mark.parametrize("synapse_model", ["current", "conductance"])
-    @pytest.mark.parametrize("inhibition_strength", [0.0, 8.0])
-    @pytest.mark.parametrize("current_tau_ms", [0.0, 20.0])
-    @pytest.mark.parametrize("single_winner", [True, False])
+    @_branch_grid
     def test_storages_keep_every_contract(
         self, tiny_config, small_images, synapse_model, inhibition_strength,
         current_tau_ms, single_winner,
     ):
         """fused == reference (float), qfused == fused (Q1.7 nearest) and
         qfused == its float twin at zero tolerance (Q1.7 stochastic)."""
-        wta = tiny_config.wta
-        # Unfiltered, the current carries one step of input instead of
-        # ~tau/dt steps: scale the per-spike drive by the default filter's
-        # gain so the tiny network still fires.
-        gain = 1.0 if current_tau_ms else wta.current_tau_ms
-        config = replace(tiny_config, wta=replace(
-            wta,
-            synapse_model=synapse_model,
-            inhibition_strength=inhibition_strength,
-            current_tau_ms=current_tau_ms,
-            single_winner=single_winner,
-            input_spike_amplitude=wta.input_spike_amplitude * gain,
-        ))
+        config = _branch_config(
+            tiny_config, synapse_model, inhibition_strength, current_tau_ms,
+            single_winner,
+        )
         fused_spec = get_engine_spec("fused")
         ref = _artefacts(*_train(config, small_images, "reference"))
         fused = _artefacts(*_train(config, small_images, "fused"))
@@ -211,6 +228,27 @@ class TestKernelBranchGrid:
         assert check_equivalence(
             get_engine_spec("qfused"), twin, q_stochastic, conductance_atol=0.0
         ) == []
+
+    @_branch_grid
+    def test_batched_storages_agree(
+        self, tiny_config, small_images, tiny_dataset, synapse_model,
+        inhibition_strength, current_tau_ms, single_winner,
+    ):
+        """The lock-step loop has the same branches: qbatched == batched
+        bit for bit at every grid point, with output spikes to compare."""
+        config = _quantized(_branch_config(
+            tiny_config, synapse_model, inhibition_strength, current_tau_ms,
+            single_winner,
+        ))
+        net, _ = _train(config, small_images, "qfused")
+        net.freeze()
+        images = tiny_dataset.test_images[:8]
+        responses = {
+            engine: create_engine(engine, net).collect_responses(images, 50.0)
+            for engine in ("batched", "qbatched")
+        }
+        assert responses["batched"].sum() > 0
+        assert np.array_equal(responses["batched"], responses["qbatched"])
 
 
 class TestCodesStorage:
